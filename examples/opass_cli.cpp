@@ -32,6 +32,7 @@
 // same data as one self-contained HTML page (inline SVG charts, no external
 // assets). Both are byte-identical across runs of one seed. When --trace-out
 // is also given, the cluster-wide series join the trace as counter tracks.
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -355,9 +356,27 @@ int main(int argc, char** argv) {
     return opts.boolean("help") ? 0 : 2;
   }
 
+  // Range-check the sizes before the unsigned casts: a negative value would
+  // wrap to ~4e9, and the library rejects the rest by throwing.
+  const long long nodes = opts.integer("nodes");
+  const long long tasks_arg = opts.integer("tasks");
+  const long long replication = opts.integer("replication");
+  if (nodes < 1 || nodes > UINT32_MAX) {
+    std::fprintf(stderr, "error: nodes must be in [1, %u]\n", UINT32_MAX);
+    return 2;
+  }
+  if (tasks_arg < 1 || tasks_arg > UINT32_MAX) {
+    std::fprintf(stderr, "error: tasks must be in [1, %u]\n", UINT32_MAX);
+    return 2;
+  }
+  if (replication < 1 || replication > nodes) {
+    std::fprintf(stderr, "error: replication must be in [1, nodes=%lld]\n", nodes);
+    return 2;
+  }
+
   exp::ExperimentConfig cfg;
-  cfg.nodes = static_cast<std::uint32_t>(opts.integer("nodes"));
-  cfg.replication = static_cast<std::uint32_t>(opts.integer("replication"));
+  cfg.nodes = static_cast<std::uint32_t>(nodes);
+  cfg.replication = static_cast<std::uint32_t>(replication);
   cfg.seed = static_cast<std::uint64_t>(opts.integer("seed"));
   const std::string placement = opts.str("placement");
   if (placement == "hdfs-default") {
@@ -408,7 +427,7 @@ int main(int argc, char** argv) {
 
   const std::string scenario = opts.str("scenario");
   const std::string method = opts.str("method");
-  const auto tasks = static_cast<std::uint32_t>(opts.integer("tasks"));
+  const auto tasks = static_cast<std::uint32_t>(tasks_arg);
   const double compute = opts.real("compute");
   const bool csv = opts.boolean("csv");
 

@@ -25,24 +25,4 @@ graph::BipartiteGraph build_process_chunk_graph(const dfs::NameNode& nn,
   return g;
 }
 
-graph::BipartiteGraph build_process_task_graph(const dfs::NameNode& nn,
-                                               const std::vector<runtime::Task>& tasks,
-                                               const ProcessPlacement& placement) {
-  OPASS_REQUIRE(!placement.empty(), "need at least one process");
-  graph::BipartiteGraph g(static_cast<std::uint32_t>(placement.size()),
-                          static_cast<std::uint32_t>(tasks.size()));
-  for (std::uint32_t p = 0; p < placement.size(); ++p) {
-    const dfs::NodeId node = placement[p];
-    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
-    for (std::uint32_t t = 0; t < tasks.size(); ++t) {
-      Bytes co_located = 0;
-      for (dfs::ChunkId c : tasks[t].inputs) {
-        if (nn.chunk(c).has_replica_on(node)) co_located += nn.chunk(c).size;
-      }
-      if (co_located > 0) g.add_edge(p, t, co_located);
-    }
-  }
-  return g;
-}
-
 }  // namespace opass::core

@@ -11,7 +11,6 @@
 
 #include "dfs/namenode.hpp"
 #include "graph/bipartite_graph.hpp"
-#include "runtime/task.hpp"
 
 namespace opass::core {
 
@@ -26,13 +25,5 @@ ProcessPlacement one_process_per_node(const dfs::NameNode& nn, std::uint32_t pro
 /// has a replica on the process's node, weighted by the chunk size.
 graph::BipartiteGraph build_process_chunk_graph(const dfs::NameNode& nn,
                                                 const ProcessPlacement& placement);
-
-/// Fig. 6(a) table as a graph: left = processes, right = *tasks*; the weight
-/// is the paper's matching value m_i^j = |d(p_i) ∩ d(t_j)| — the bytes of
-/// task j's inputs co-located with process i. Tasks with no co-located bytes
-/// for a process get no edge.
-graph::BipartiteGraph build_process_task_graph(const dfs::NameNode& nn,
-                                               const std::vector<runtime::Task>& tasks,
-                                               const ProcessPlacement& placement);
 
 }  // namespace opass::core

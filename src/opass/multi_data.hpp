@@ -10,7 +10,12 @@
 // current assignment (the reassignment event of Fig. 6(b)).
 //
 // The result is optimal from each process's perspective (proposer-optimal,
-// as in Gale–Shapley) and runs in O(m * n) proposals.
+// as in Gale–Shapley). Matching values come from a sparse CoLocationIndex
+// (opass/co_location.hpp): O(nnz log nnz) to build and O(nnz + m + n)
+// memory, nnz being the non-zero (node, task) pairs, at most
+// n * |inputs| * r. The proposal count is unchanged at O(m * n): a process
+// whose non-zero prefix is used up still proposes to each zero-valued task
+// in id order, and each such proposal costs one short list scan.
 #pragma once
 
 #include <cstdint>

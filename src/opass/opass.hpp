@@ -12,6 +12,7 @@
 
 #include "opass/admission.hpp"
 #include "opass/assignment_stats.hpp"
+#include "opass/co_location.hpp"
 #include "opass/dynamic_scheduler.hpp"
 #include "opass/locality_graph.hpp"
 #include "opass/multi_data.hpp"

@@ -38,27 +38,8 @@ TEST_F(LocalityGraphFixture, ProcessChunkGraphMatchesReplicas) {
   }
 }
 
-TEST_F(LocalityGraphFixture, ProcessTaskGraphWeightsAreCoLocatedBytes) {
-  // Two files of 1 chunk each; one task reads both.
-  nn.create_file("a", 10 * kMiB, policy, rng);  // chunk 0 on {0,1}
-  nn.create_file("b", 20 * kMiB, policy, rng);  // chunk 1 on {1,2}
-  runtime::Task t;
-  t.id = 0;
-  t.inputs = {0, 1};
-  const auto g = build_process_task_graph(nn, {t}, one_process_per_node(nn));
-  // p0: 10 MiB, p1: 30 MiB, p2: 20 MiB, p3: no edge.
-  ASSERT_EQ(g.edge_count(), 3u);
-  Bytes w[4] = {0, 0, 0, 0};
-  for (const auto& e : g.edges()) w[e.left] = e.weight;
-  EXPECT_EQ(w[0], 10 * kMiB);
-  EXPECT_EQ(w[1], 30 * kMiB);
-  EXPECT_EQ(w[2], 20 * kMiB);
-  EXPECT_EQ(w[3], 0u);
-}
-
 TEST_F(LocalityGraphFixture, EmptyPlacementRejected) {
   EXPECT_THROW(build_process_chunk_graph(nn, {}), std::invalid_argument);
-  EXPECT_THROW(build_process_task_graph(nn, {}, {}), std::invalid_argument);
 }
 
 TEST_F(LocalityGraphFixture, ProcessOnUnknownNodeRejected) {

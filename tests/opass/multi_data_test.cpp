@@ -2,13 +2,122 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <numeric>
+
+#include "common/require.hpp"
 #include "opass/assignment_stats.hpp"
+#include "opass/single_data.hpp"
 #include "runtime/static_partitioner.hpp"
 #include "workload/dataset.hpp"
 #include "workload/multi_input.hpp"
 
 namespace opass::core {
 namespace {
+
+// Reference: Algorithm 1 over the dense m x n Fig. 6(a) table, as
+// assign_multi_data computed it before the sparse co-location index. The
+// differential test below requires the production matcher to reproduce it
+// exactly.
+MultiDataPlan dense_reference(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
+                              const ProcessPlacement& placement) {
+  const auto m = static_cast<std::uint32_t>(placement.size());
+  const auto n = static_cast<std::uint32_t>(tasks.size());
+  OPASS_REQUIRE(m > 0, "need at least one process");
+
+  // Matching values m_i^j = co-located bytes between process i and task j,
+  // as a dense matrix (the Fig. 6(a) table).
+  std::vector<Bytes> value(static_cast<std::size_t>(m) * n, 0);
+  auto val = [&](std::uint32_t p, std::uint32_t t) -> Bytes& {
+    return value[static_cast<std::size_t>(p) * n + t];
+  };
+  for (std::uint32_t p = 0; p < m; ++p) {
+    const dfs::NodeId node = placement[p];
+    OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
+    for (std::uint32_t t = 0; t < n; ++t) {
+      Bytes co = 0;
+      for (dfs::ChunkId c : tasks[t].inputs)
+        if (nn.chunk(c).has_replica_on(node)) co += nn.chunk(c).size;
+      val(p, t) = co;
+    }
+  }
+
+  // Per-process preference order: tasks by descending matching value, id
+  // ascending as the deterministic tie-break.
+  std::vector<std::vector<std::uint32_t>> pref(m);
+  for (std::uint32_t p = 0; p < m; ++p) {
+    pref[p].resize(n);
+    std::iota(pref[p].begin(), pref[p].end(), 0u);
+    std::stable_sort(pref[p].begin(), pref[p].end(), [&](std::uint32_t a, std::uint32_t b) {
+      return val(p, a) > val(p, b);
+    });
+  }
+
+  const auto quotas = equal_quotas(n, m);
+  std::vector<std::uint32_t> owner(n, UINT32_MAX);
+  std::vector<std::uint32_t> held(m, 0);
+  std::vector<std::size_t> cursor(m, 0);  // next unconsidered preference index
+
+  MultiDataPlan plan;
+
+  // Round-robin over deficient processes; each iteration is one proposal.
+  std::deque<std::uint32_t> deficient;
+  for (std::uint32_t p = 0; p < m; ++p)
+    if (held[p] < quotas[p]) deficient.push_back(p);
+
+  while (!deficient.empty()) {
+    const std::uint32_t p = deficient.front();
+    deficient.pop_front();
+    if (held[p] >= quotas[p]) continue;  // satisfied by an earlier steal-back
+    // A deficient process always has an unconsidered task left: once it has
+    // considered all n tasks, all n are assigned, which forces every process
+    // to its quota (sum of quotas == n) — contradiction.
+    OPASS_CHECK(cursor[p] < n, "deficient process exhausted its preference list");
+
+    const std::uint32_t tx = pref[p][cursor[p]++];
+    if (owner[tx] == UINT32_MAX) {
+      owner[tx] = p;
+      ++held[p];
+    } else if (val(owner[tx], tx) < val(p, tx)) {
+      // Reassignment event (Fig. 6(b)): the current owner loses the task.
+      const std::uint32_t l = owner[tx];
+      owner[tx] = p;
+      ++held[p];
+      --held[l];
+      ++plan.reassignments;
+      deficient.push_back(l);
+    }
+    if (held[p] < quotas[p]) deficient.push_back(p);
+  }
+
+  plan.assignment.assign(m, {});
+  for (std::uint32_t t = 0; t < n; ++t) {
+    OPASS_CHECK(owner[t] != UINT32_MAX, "task left unassigned by Algorithm 1");
+    plan.assignment[owner[t]].push_back(t);
+    plan.matched_bytes += val(owner[t], t);
+  }
+  for (const auto& task : tasks) plan.total_bytes += task.input_bytes(nn);
+  for (std::uint32_t p = 0; p < m; ++p)
+    OPASS_CHECK(held[p] == quotas[p] && plan.assignment[p].size() == quotas[p],
+                "process ended away from its quota");
+  return plan;
+}
+
+/// Places every replica on a node drawn from [0, nodes - cold): the `cold`
+/// highest-numbered nodes never hold data.
+class WarmNodesPlacement : public dfs::PlacementPolicy {
+ public:
+  explicit WarmNodesPlacement(std::uint32_t cold) : cold_(cold) {}
+  std::vector<dfs::NodeId> place(const dfs::Topology& topo, dfs::NodeId,
+                                 std::uint32_t replication, Rng& rng) override {
+    return rng.sample_without_replacement(topo.node_count() - cold_, replication);
+  }
+  std::string name() const override { return "warm-nodes"; }
+
+ private:
+  std::uint32_t cold_;
+};
 
 TEST(MultiData, AssignsEveryTaskWithEqualQuotas) {
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
@@ -166,6 +275,56 @@ TEST(MultiData, UnevenTaskCountSpreadsRemainder) {
   EXPECT_EQ(plan.assignment[1].size(), 3u);
   EXPECT_EQ(plan.assignment[2].size(), 2u);
   EXPECT_EQ(plan.assignment[3].size(), 2u);
+}
+
+TEST(MultiData, MatchesDenseReferenceOnRandomLayouts) {
+  // Input arity 1-4, r in {1, 2, 3}, 1-3 processes per node (several
+  // processes share one node's preference prefix), fewer tasks than
+  // processes (zero quotas), tasks listing one chunk twice, nodes holding no
+  // replica, and chunk sizes from a small set so matching values tie often.
+  std::uint32_t steals = 0;
+  std::uint32_t zero_quota_layouts = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(seed);
+    const auto replication = static_cast<std::uint32_t>(1 + rng.uniform(3));
+    const auto cold = static_cast<std::uint32_t>(rng.uniform(3));
+    const auto nodes = static_cast<std::uint32_t>(replication + cold + rng.uniform(12));
+    dfs::NameNode nn(dfs::Topology::single_rack(nodes), replication, 32 * kMiB);
+    WarmNodesPlacement policy(cold);
+    const auto files = static_cast<std::uint32_t>(1 + rng.uniform(40));
+    for (std::uint32_t f = 0; f < files; ++f)
+      nn.create_file("f" + std::to_string(f), (1 + rng.uniform(6)) * 8 * kMiB, policy, rng);
+
+    const auto task_count = static_cast<std::uint32_t>(rng.uniform(60));
+    std::vector<runtime::Task> tasks(task_count);
+    for (std::uint32_t t = 0; t < task_count; ++t) {
+      tasks[t].id = t;
+      const auto arity = 1 + rng.uniform(4);
+      for (std::uint64_t i = 0; i < arity; ++i) {
+        const bool repeat = !tasks[t].inputs.empty() && rng.bernoulli(0.15);
+        tasks[t].inputs.push_back(
+            repeat ? tasks[t].inputs.back()
+                   : static_cast<dfs::ChunkId>(rng.uniform(nn.chunk_count())));
+      }
+    }
+
+    const auto per_node = static_cast<std::uint32_t>(1 + rng.uniform(3));
+    auto placement = one_process_per_node(nn, nodes * per_node);
+    if (rng.bernoulli(0.3))
+      for (auto& node : placement) node = static_cast<dfs::NodeId>(rng.uniform(nodes));
+
+    const auto want = dense_reference(nn, tasks, placement);
+    const auto got = assign_multi_data(nn, tasks, placement);
+    EXPECT_EQ(got.assignment, want.assignment) << "seed " << seed;
+    EXPECT_EQ(got.matched_bytes, want.matched_bytes) << "seed " << seed;
+    EXPECT_EQ(got.reassignments, want.reassignments) << "seed " << seed;
+    EXPECT_EQ(got.total_bytes, want.total_bytes) << "seed " << seed;
+    steals += want.reassignments;
+    if (placement.size() > task_count) ++zero_quota_layouts;
+  }
+  // The sweep must reach the reassignment path and the zero-quota case.
+  EXPECT_GT(steals, 0u);
+  EXPECT_GT(zero_quota_layouts, 0u);
 }
 
 }  // namespace
