@@ -3,8 +3,11 @@
 #
 #   cmake -DCLI=<path-to-opass_cli> -P cmake/run_bad_input_check.cmake
 #
-# Each argument set below is out of range. The CLI must reject every one with
-# exit code 2 and a message, never abort (134) or run.
+# Each argument set below is out of range or unsupported. The CLI must reject
+# every one with exit code 2 and a message, never abort (134) or run. The
+# paraview and iterative scenarios and the service-trace replay arm no fault
+# plan, so --fault-plan with them must be rejected rather than silently
+# ignored.
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "usage: cmake -DCLI=<opass_cli> -P run_bad_input_check.cmake")
 endif()
@@ -15,7 +18,10 @@ set(cases
     "--nodes=-3"
     "--replication=9,--nodes=4"
     "--replication=0"
-    "--tasks=0")
+    "--tasks=0"
+    "--scenario=paraview,--fault-plan=${CMAKE_CURRENT_LIST_DIR}/../bench/faults/crash.json"
+    "--scenario=iterative,--fault-plan=${CMAKE_CURRENT_LIST_DIR}/../bench/faults/crash.json"
+    "--service-trace=${CMAKE_CURRENT_LIST_DIR}/../bench/traces/service_small.trace,--fault-plan=${CMAKE_CURRENT_LIST_DIR}/../bench/faults/crash.json")
 foreach(args IN LISTS cases)
   string(REPLACE "," ";" argv "${args}")
   execute_process(

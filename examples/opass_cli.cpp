@@ -13,9 +13,11 @@
 // (sim/fault_plan.hpp documents the format) and arms it on each run's
 // cluster — crashes, stragglers, joins, drains and rebalances play out as
 // scripted virtual-time events whose recovery traffic competes with the
-// run's reads. The fault summary prints after the method table; fault
-// markers join --trace-out as instant events and --report-html/--timeline-out
-// as timeline.faults.* series.
+// run's reads. Only the single, multi and dynamic scenarios honour a plan;
+// paraview, iterative and --service-trace reject one with exit code 2. The
+// fault summary prints after the method table; fault markers join
+// --trace-out as instant events and --report-html/--timeline-out as
+// timeline.faults.* series.
 //
 // Prints the run's headline metrics as a table, or the per-op I/O series as
 // CSV with --csv (ready for plotting). With --audit the scenario's plan is
@@ -411,11 +413,22 @@ int main(int argc, char** argv) {
     cfg.pool = pool.get();
   }
 
+  // Only the single, multi and dynamic runs arm a fault plan on their
+  // cluster; reject it elsewhere rather than run as if it had been honoured.
   const std::string service_trace = opts.str("service-trace");
+  const std::string scenario = opts.str("scenario");
+  const std::string fault_plan_path = opts.str("fault-plan");
+  if (!fault_plan_path.empty() &&
+      (!service_trace.empty() || scenario == "paraview" || scenario == "iterative")) {
+    std::fprintf(stderr, "error: --fault-plan is not supported with %s%s "
+                         "(only --scenario=single|multi|dynamic)\n",
+                 service_trace.empty() ? "--scenario=" : "--service-trace",
+                 service_trace.empty() ? scenario.c_str() : "");
+    return 2;
+  }
   if (!service_trace.empty()) return run_service_trace(service_trace, cfg, opts);
 
   std::optional<sim::FaultPlan> fault_plan;
-  const std::string fault_plan_path = opts.str("fault-plan");
   if (!fault_plan_path.empty()) {
     try {
       fault_plan = sim::load_fault_plan(fault_plan_path);
@@ -425,7 +438,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string scenario = opts.str("scenario");
   const std::string method = opts.str("method");
   const auto tasks = static_cast<std::uint32_t>(tasks_arg);
   const double compute = opts.real("compute");

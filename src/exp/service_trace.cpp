@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/require.hpp"
@@ -42,37 +43,50 @@ std::vector<TraceJob> parse_service_trace(const std::string& text) {
 std::vector<TraceJob> load_service_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   OPASS_REQUIRE(in.good(), "cannot read trace file: " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_service_trace(text.str());
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  return parse_service_trace(text);
 }
 
 namespace {
 
 /// Deterministic one-line rendering of a job: stable field order, reals via
-/// obs::format_double, assignment as p<process>=[ids] for non-empty
+/// obs::append_double, assignment as p<process>=[ids] for non-empty
 /// processes only.
-std::string render_job(const core::JobStatus& job) {
-  std::ostringstream os;
-  os << "job=" << job.id << " tenant=" << job.tenant
-     << " arrival=" << obs::format_double(job.arrival)
-     << " state=" << core::job_state_name(job.state);
+void append_job(std::string& out, const core::JobStatus& job) {
+  out += "job=";
+  obs::append_u64(out, job.id);
+  out += " tenant=";
+  obs::append_u64(out, job.tenant);
+  out += " arrival=";
+  obs::append_double(out, job.arrival);
+  out += " state=";
+  out += core::job_state_name(job.state);
   if (job.state == core::JobState::kPlanned || job.state == core::JobState::kCompleted) {
-    os << " batch=" << job.batch << " planned_at=" << obs::format_double(job.planned_at)
-       << " matched=" << job.locally_matched << " filled=" << job.randomly_filled
-       << " local_bytes=" << job.local_bytes << " total_bytes=" << job.total_bytes;
+    out += " batch=";
+    obs::append_u64(out, job.batch);
+    out += " planned_at=";
+    obs::append_double(out, job.planned_at);
+    out += " matched=";
+    obs::append_u64(out, job.locally_matched);
+    out += " filled=";
+    obs::append_u64(out, job.randomly_filled);
+    out += " local_bytes=";
+    obs::append_u64(out, job.local_bytes);
+    out += " total_bytes=";
+    obs::append_u64(out, job.total_bytes);
     for (std::size_t p = 0; p < job.assignment.size(); ++p) {
       if (job.assignment[p].empty()) continue;
-      os << " p" << p << "=[";
+      out += " p";
+      obs::append_u64(out, p);
+      out += "=[";
       for (std::size_t i = 0; i < job.assignment[p].size(); ++i) {
-        if (i > 0) os << ',';
-        os << job.assignment[p][i];
+        if (i > 0) out += ',';
+        obs::append_u64(out, job.assignment[p][i]);
       }
-      os << ']';
+      out += ']';
     }
   }
-  os << '\n';
-  return os.str();
+  out += '\n';
 }
 
 }  // namespace
@@ -135,20 +149,27 @@ ServiceTraceOutput replay_service_trace(const ServiceTraceConfig& cfg,
   out.counters = service.counters();
   Bytes local = 0;
   Bytes total = 0;
-  std::ostringstream rendered;
-  rendered << "# service-trace replay: jobs=" << service.job_count()
-           << " batches=" << out.counters.batches << " tasks=" << out.counters.tasks_planned
-           << " nodes=" << cfg.nodes << " seed=" << cfg.seed << '\n';
+  std::string& rendered = out.rendered;
+  rendered = "# service-trace replay: jobs=";
+  obs::append_u64(rendered, service.job_count());
+  rendered += " batches=";
+  obs::append_u64(rendered, out.counters.batches);
+  rendered += " tasks=";
+  obs::append_u64(rendered, out.counters.tasks_planned);
+  rendered += " nodes=";
+  obs::append_u64(rendered, cfg.nodes);
+  rendered += " seed=";
+  obs::append_u64(rendered, cfg.seed);
+  rendered += '\n';
   for (core::JobId id = 1; id <= service.job_count(); ++id) {
     const core::JobStatus& status = service.status(id);
     local += status.local_bytes;
     total += status.total_bytes;
-    rendered << render_job(status);
+    append_job(rendered, status);
     out.statuses.push_back(status);
   }
   out.local_byte_fraction =
       total ? static_cast<double>(local) / static_cast<double>(total) : 0.0;
-  out.rendered = rendered.str();
   if (cfg.spans != nullptr) obs::append_service_spans(*cfg.spans, out.statuses);
   return out;
 }

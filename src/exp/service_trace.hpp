@@ -74,7 +74,7 @@ struct ServiceTraceOutput {
   core::ServiceCounters counters;
   double local_byte_fraction = 0;  ///< co-located bytes / total bytes
   /// Deterministic text rendering of every job's state and assignment
-  /// (stable field order, obs::format_double for reals). Two replays of the
+  /// (stable field order, obs::append_double for reals). Two replays of the
   /// same trace + seed produce byte-identical strings.
   std::string rendered;
 };

@@ -10,13 +10,19 @@ namespace opass::obs {
 
 namespace {
 
-std::string i64(std::int64_t v) { return std::to_string(v); }
-std::string u64(std::uint64_t v) { return std::to_string(v); }
-
-/// Sentinel-aware id rendering: UINT32_MAX fields render as -1.
-std::string opt_id(std::uint32_t v) {
-  return v == UINT32_MAX ? std::string("-1") : std::to_string(v);
+/// Sentinel-aware id value: UINT32_MAX fields (no parent, no task, ...)
+/// render as -1.
+std::int64_t signed_id(std::uint32_t v) {
+  return v == UINT32_MAX ? -1 : static_cast<std::int64_t>(v);
 }
+
+/// Upper bounds of one rendered span object (its name excluded), one
+/// breakdown slice, and one method's header and attribution objects beyond
+/// their per-node entries: the fixed text plus every number at its widest.
+constexpr std::size_t kMaxSpanBytes = 320;
+constexpr std::size_t kMaxSliceBytes = 128;
+constexpr std::size_t kMaxMethodBytes = 1024;
+constexpr std::size_t kMaxNodeEntryBytes = 40;
 
 bool valid_method_name(const std::string& name) {
   if (name.empty()) return false;
@@ -25,12 +31,16 @@ bool valid_method_name(const std::string& name) {
   return true;
 }
 
-std::string attribution_json(const AttributionTotals& totals) {
-  std::string out = "{\"total_ticks\": " + i64(totals.total_ticks) + ", \"kinds\": {";
+void append_attribution_json(std::string& out, const AttributionTotals& totals) {
+  out += "{\"total_ticks\": ";
+  append_i64(out, totals.total_ticks);
+  out += ", \"kinds\": {";
   for (std::size_t k = 0; k < kAttrKindCount; ++k) {
     if (k) out += ", ";
-    out += std::string("\"") + attr_kind_name(static_cast<AttrKind>(k)) +
-           "\": " + i64(totals.kind_ticks[k]);
+    out += '"';
+    out += attr_kind_name(static_cast<AttrKind>(k));
+    out += "\": ";
+    append_i64(out, totals.kind_ticks[k]);
   }
   out += "}, \"nodes\": {";
   bool first = true;
@@ -38,10 +48,12 @@ std::string attribution_json(const AttributionTotals& totals) {
     if (totals.node_ticks[n] == 0) continue;
     if (!first) out += ", ";
     first = false;
-    out += "\"" + u64(n) + "\": " + i64(totals.node_ticks[n]);
+    out += '"';
+    append_u64(out, n);
+    out += "\": ";
+    append_i64(out, totals.node_ticks[n]);
   }
   out += "}}";
-  return out;
 }
 
 }  // namespace
@@ -202,33 +214,70 @@ const CriticalPath& SpanDocBuilder::path(std::size_t index) const {
 }
 
 std::string SpanDocBuilder::spans_json() const {
-  std::string out = "{\"schema\": 1, \"ticks_per_second\": 1000000000, \"methods\": [";
+  // Reserve an upper bound of the document (tens of MB at 1024 nodes), so it
+  // is written into one allocation: growing it by doubling would copy it and
+  // briefly hold both buffers, and the untouched tail of the bound is never
+  // paged in.
+  std::size_t bound = kMaxMethodBytes;
+  for (const Method& m : methods_) {
+    bound += kMaxMethodBytes + m.name.size() + m.totals.node_ticks.size() * kMaxNodeEntryBytes;
+    for (const Span& s : m.log->spans())
+      bound += kMaxSpanBytes + s.name.size() + s.breakdown.size() * kMaxSliceBytes;
+  }
+  std::string out;
+  out.reserve(bound);
+  out += "{\"schema\": 1, \"ticks_per_second\": 1000000000, \"methods\": [";
   for (std::size_t mi = 0; mi < methods_.size(); ++mi) {
     const Method& m = methods_[mi];
     out += mi ? ",\n" : "\n";
-    out += "{\"name\": \"" + m.name + "\"";
-    out += ", \"makespan_ticks\": " + i64(m.log->max_end_ticks());
-    out += ", \"span_count\": " + u64(m.log->size());
-    out += ", \"attribution\": " + attribution_json(m.totals);
+    out += "{\"name\": \"";
+    out += m.name;
+    out += "\", \"makespan_ticks\": ";
+    append_i64(out, m.log->max_end_ticks());
+    out += ", \"span_count\": ";
+    append_u64(out, m.log->size());
+    out += ", \"attribution\": ";
+    append_attribution_json(out, m.totals);
     out += ", \"spans\": [";
     const auto& spans = m.log->spans();
     for (std::size_t si = 0; si < spans.size(); ++si) {
       const Span& s = spans[si];
-      out += si ? ",\n  " : "\n  ";
-      out += "{\"id\": " + u64(s.id) + ", \"parent\": " + opt_id(s.parent) +
-             ", \"kind\": \"" + span_kind_name(s.kind) + "\", \"name\": \"" + s.name +
-             "\", \"process\": " + u64(s.process) + ", \"task\": " + opt_id(s.task) +
-             ", \"node\": " + opt_id(s.node) + ", \"server\": " + opt_id(s.server) +
-             ", \"chunk\": " + opt_id(s.chunk) + ", \"bytes\": " + u64(s.bytes) +
-             ", \"start_ticks\": " + i64(s.start_ticks) +
-             ", \"end_ticks\": " + i64(s.end_ticks) + ", \"breakdown\": [";
+      out += si ? ",\n  {\"id\": " : "\n  {\"id\": ";
+      append_u64(out, s.id);
+      out += ", \"parent\": ";
+      append_i64(out, signed_id(s.parent));
+      out += ", \"kind\": \"";
+      out += span_kind_name(s.kind);
+      out += "\", \"name\": \"";
+      out += s.name;
+      out += "\", \"process\": ";
+      append_u64(out, s.process);
+      out += ", \"task\": ";
+      append_i64(out, signed_id(s.task));
+      out += ", \"node\": ";
+      append_i64(out, signed_id(s.node));
+      out += ", \"server\": ";
+      append_i64(out, signed_id(s.server));
+      out += ", \"chunk\": ";
+      append_i64(out, signed_id(s.chunk));
+      out += ", \"bytes\": ";
+      append_u64(out, s.bytes);
+      out += ", \"start_ticks\": ";
+      append_i64(out, s.start_ticks);
+      out += ", \"end_ticks\": ";
+      append_i64(out, s.end_ticks);
+      out += ", \"breakdown\": [";
       for (std::size_t bi = 0; bi < s.breakdown.size(); ++bi) {
         const AttrSlice& b = s.breakdown[bi];
-        if (bi) out += ", ";
-        out += std::string("{\"kind\": \"") + attr_kind_name(b.kind) +
-               "\", \"node\": " + opt_id(b.node) +
-               ", \"start_ticks\": " + i64(b.start_ticks) +
-               ", \"end_ticks\": " + i64(b.end_ticks) + "}";
+        out += bi ? ", {\"kind\": \"" : "{\"kind\": \"";
+        out += attr_kind_name(b.kind);
+        out += "\", \"node\": ";
+        append_i64(out, signed_id(b.node));
+        out += ", \"start_ticks\": ";
+        append_i64(out, b.start_ticks);
+        out += ", \"end_ticks\": ";
+        append_i64(out, b.end_ticks);
+        out += '}';
       }
       out += "]}";
     }
@@ -244,9 +293,12 @@ std::string SpanDocBuilder::critical_path_json() const {
     const Method& m = methods_[mi];
     const auto& spans = m.log->spans();
     out += mi ? ",\n" : "\n";
-    out += "{\"name\": \"" + m.name + "\"";
-    out += ", \"makespan_ticks\": " + i64(m.log->max_end_ticks());
-    out += ", \"blame\": " + attribution_json(m.path.blame);
+    out += "{\"name\": \"";
+    out += m.name;
+    out += "\", \"makespan_ticks\": ";
+    append_i64(out, m.log->max_end_ticks());
+    out += ", \"blame\": ";
+    append_attribution_json(out, m.path.blame);
     out += ", \"steps\": [";
     for (std::size_t si = 0; si < m.path.steps.size(); ++si) {
       const CriticalPath::Step& step = m.path.steps[si];
@@ -255,11 +307,20 @@ std::string SpanDocBuilder::critical_path_json() const {
         out += "{\"span\": -1, \"name\": \"idle\", \"process\": -1, \"task\": -1";
       } else {
         const Span& s = spans[step.span];
-        out += "{\"span\": " + u64(step.span) + ", \"name\": \"" + s.name +
-               "\", \"process\": " + u64(s.process) + ", \"task\": " + opt_id(s.task);
+        out += "{\"span\": ";
+        append_u64(out, step.span);
+        out += ", \"name\": \"";
+        out += s.name;
+        out += "\", \"process\": ";
+        append_u64(out, s.process);
+        out += ", \"task\": ";
+        append_i64(out, signed_id(s.task));
       }
-      out += ", \"start_ticks\": " + i64(step.start_ticks) +
-             ", \"end_ticks\": " + i64(step.end_ticks) + "}";
+      out += ", \"start_ticks\": ";
+      append_i64(out, step.start_ticks);
+      out += ", \"end_ticks\": ";
+      append_i64(out, step.end_ticks);
+      out += '}';
     }
     out += "\n]}";
   }
@@ -271,12 +332,17 @@ std::string SpanDocBuilder::critical_path_text() const {
   std::string out;
   for (const Method& m : methods_) {
     const std::int64_t makespan = m.log->max_end_ticks();
-    out += "== " + m.name + " ==\n";
-    out += "makespan: " + format_double(static_cast<double>(makespan) * 1e-9) +
-           " s (" + i64(makespan) + " ticks)\n";
-    out += "critical path: " + u64(m.path.steps.size()) + " steps covering " +
-           format_double(static_cast<double>(m.path.blame.total_ticks) * 1e-9) + " s\n";
-    out += "blame:\n";
+    out += "== ";
+    out += m.name;
+    out += " ==\nmakespan: ";
+    append_double(out, static_cast<double>(makespan) * 1e-9);
+    out += " s (";
+    append_i64(out, makespan);
+    out += " ticks)\ncritical path: ";
+    append_u64(out, m.path.steps.size());
+    out += " steps covering ";
+    append_double(out, static_cast<double>(m.path.blame.total_ticks) * 1e-9);
+    out += " s\nblame:\n";
     // Buckets in descending tick order, ties by enum order; zeros omitted.
     std::vector<std::size_t> kinds;
     for (std::size_t k = 0; k < kAttrKindCount; ++k)
@@ -290,9 +356,13 @@ std::string SpanDocBuilder::critical_path_text() const {
                              ? 100.0 * static_cast<double>(t) /
                                    static_cast<double>(m.path.blame.total_ticks)
                              : 0.0;
-      out += std::string("  ") + attr_kind_name(static_cast<AttrKind>(k)) + " " +
-             format_double(static_cast<double>(t) * 1e-9) + " s (" +
-             format_double(pct) + "%)\n";
+      out += "  ";
+      out += attr_kind_name(static_cast<AttrKind>(k));
+      out += ' ';
+      append_double(out, static_cast<double>(t) * 1e-9);
+      out += " s (";
+      append_double(out, pct);
+      out += "%)\n";
     }
     std::vector<std::size_t> nodes;
     for (std::size_t n = 0; n < m.path.blame.node_ticks.size(); ++n)
@@ -303,10 +373,13 @@ std::string SpanDocBuilder::critical_path_text() const {
     if (nodes.size() > 8) nodes.resize(8);
     if (!nodes.empty()) {
       out += "blamed nodes:\n";
-      for (std::size_t n : nodes)
-        out += "  node " + u64(n) + " " +
-               format_double(static_cast<double>(m.path.blame.node_ticks[n]) * 1e-9) +
-               " s\n";
+      for (std::size_t n : nodes) {
+        out += "  node ";
+        append_u64(out, n);
+        out += ' ';
+        append_double(out, static_cast<double>(m.path.blame.node_ticks[n]) * 1e-9);
+        out += " s\n";
+      }
     }
   }
   return out;

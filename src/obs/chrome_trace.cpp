@@ -1,6 +1,7 @@
 #include "obs/chrome_trace.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <tuple>
 
 #include "common/require.hpp"
@@ -12,7 +13,12 @@ namespace {
 
 constexpr double kMicrosPerSecond = 1e6;
 
-std::string format_u64(std::uint64_t v) { return std::to_string(v); }
+/// Upper bounds of one rendered event beyond its name, category and args,
+/// of one process's two metadata events beyond its name, and of one
+/// thread_sort_index event: the fixed text plus every number at its widest.
+constexpr std::size_t kMaxEventBytes = 192;
+constexpr std::size_t kMaxProcessBytes = 256;
+constexpr std::size_t kMaxTrackBytes = 160;
 
 }  // namespace
 
@@ -35,12 +41,16 @@ void ChromeTraceBuilder::add_execution(const runtime::ExecutionResult& result,
     e.dur_us = r.io_time() * kMicrosPerSecond;
     e.pid = pid;
     e.tid = r.process;
-    e.name = "read chunk " + format_u64(r.chunk);
+    e.name = "read chunk ";
+    append_u64(e.name, r.chunk);
     e.cat = "read";
-    e.args_json = "{\"chunk\": " + format_u64(r.chunk) +
-                  ", \"bytes\": " + format_u64(r.bytes) +
-                  ", \"server\": " + format_u64(r.serving_node) +
-                  ", \"local\": " + (r.local ? "true" : "false") + "}";
+    e.args_json = "{\"chunk\": ";
+    append_u64(e.args_json, r.chunk);
+    e.args_json += ", \"bytes\": ";
+    append_u64(e.args_json, r.bytes);
+    e.args_json += ", \"server\": ";
+    append_u64(e.args_json, r.serving_node);
+    e.args_json += r.local ? ", \"local\": true}" : ", \"local\": false}";
     events_.push_back(std::move(e));
   }
   for (const runtime::TaskSpan& s : result.task_spans) {
@@ -50,7 +60,8 @@ void ChromeTraceBuilder::add_execution(const runtime::ExecutionResult& result,
     e.dur_us = (s.end - s.start) * kMicrosPerSecond;
     e.pid = pid;
     e.tid = s.process;
-    e.name = "task " + format_u64(s.task);
+    e.name = "task ";
+    append_u64(e.name, s.task);
     e.cat = "task";
     events_.push_back(std::move(e));
   }
@@ -65,7 +76,9 @@ void ChromeTraceBuilder::add_counter(std::uint32_t pid, const std::string& name,
   e.ph = 'C';
   e.name = name;
   e.cat = "counter";
-  e.args_json = "{\"value\": " + format_double(value) + "}";
+  e.args_json = "{\"value\": ";
+  append_double(e.args_json, value);
+  e.args_json += '}';
   events_.push_back(std::move(e));
 }
 
@@ -105,12 +118,28 @@ std::string ChromeTraceBuilder::json() const {
            std::tie(b->ts_us, b->pid, b->tid, b->name);
   });
 
-  std::string out = "{\"traceEvents\": [";
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tracks;
+  for (const Event& e : events_)
+    if (e.ph == 'X') tracks.emplace_back(e.pid, e.tid);
+  std::sort(tracks.begin(), tracks.end());
+  tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
+
+  // Reserve an upper bound of the document (tens of MB at 1024 nodes), so it
+  // is written into one allocation: growing it by doubling would copy it and
+  // briefly hold both buffers, and the untouched tail of the bound is never
+  // paged in.
+  std::size_t bound = 64 + tracks.size() * kMaxTrackBytes;
+  for (const auto& entry : process_names_) bound += kMaxProcessBytes + entry.second.size();
+  for (const Event& e : events_)
+    bound += kMaxEventBytes + e.name.size() + std::strlen(e.cat) + e.args_json.size();
+  std::string out;
+  out.reserve(bound);
+  out += "{\"traceEvents\": [";
   bool first = true;
-  const auto emit = [&out, &first](const std::string& event) {
-    out += first ? "\n" : ",\n";
+  // Opens one event line; the caller appends the event object after it.
+  const auto next_event = [&out, &first] {
+    out += first ? "\n  " : ",\n  ";
     first = false;
-    out += "  " + event;
   };
   // Metadata block, sorted by pid: a name pins the group label, the
   // sort_index events pin numeric group/track order (the viewer's default is
@@ -119,41 +148,63 @@ std::string ChromeTraceBuilder::json() const {
   std::sort(names.begin(), names.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [pid, name] : names) {
-    emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " + format_u64(pid) +
-         ", \"tid\": 0, \"args\": {\"name\": \"" + name + "\"}}");
-    emit("{\"name\": \"process_sort_index\", \"ph\": \"M\", \"pid\": " +
-         format_u64(pid) + ", \"tid\": 0, \"args\": {\"sort_index\": " +
-         format_u64(pid) + "}}");
+    next_event();
+    out += "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": ";
+    append_u64(out, pid);
+    out += ", \"tid\": 0, \"args\": {\"name\": \"";
+    out += name;
+    out += "\"}}";
+    next_event();
+    out += "{\"name\": \"process_sort_index\", \"ph\": \"M\", \"pid\": ";
+    append_u64(out, pid);
+    out += ", \"tid\": 0, \"args\": {\"sort_index\": ";
+    append_u64(out, pid);
+    out += "}}";
   }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> tracks;
-  for (const Event& e : events_)
-    if (e.ph == 'X') tracks.emplace_back(e.pid, e.tid);
-  std::sort(tracks.begin(), tracks.end());
-  tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
   for (const auto& [pid, tid] : tracks) {
-    emit("{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": " +
-         format_u64(pid) + ", \"tid\": " + format_u64(tid) +
-         ", \"args\": {\"sort_index\": " + format_u64(tid) + "}}");
+    next_event();
+    out += "{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": ";
+    append_u64(out, pid);
+    out += ", \"tid\": ";
+    append_u64(out, tid);
+    out += ", \"args\": {\"sort_index\": ";
+    append_u64(out, tid);
+    out += "}}";
   }
   for (const Event* e : order) {
-    std::string line = "{\"name\": \"" + e->name + "\", \"cat\": \"" + e->cat + "\"";
+    next_event();
+    out += "{\"name\": \"";
+    out += e->name;
+    out += "\", \"cat\": \"";
+    out += e->cat;
+    out += '"';
     if (e->ph == 'X') {
-      line += ", \"ph\": \"X\", \"ts\": " + format_double(e->ts_us) +
-              ", \"dur\": " + format_double(e->dur_us);
+      out += ", \"ph\": \"X\", \"ts\": ";
+      append_double(out, e->ts_us);
+      out += ", \"dur\": ";
+      append_double(out, e->dur_us);
     } else if (e->ph == 'i') {
-      line += ", \"ph\": \"i\", \"s\": \"g\", \"ts\": " + format_double(e->ts_us);
+      out += ", \"ph\": \"i\", \"s\": \"g\", \"ts\": ";
+      append_double(out, e->ts_us);
     } else if (e->ph == 's' || e->ph == 'f') {
-      line += std::string(", \"ph\": \"") + e->ph + "\"";
-      if (e->ph == 'f') line += ", \"bp\": \"e\"";
-      line += ", \"id\": " + format_u64(e->flow_id) +
-              ", \"ts\": " + format_double(e->ts_us);
+      out += e->ph == 's' ? ", \"ph\": \"s\"" : ", \"ph\": \"f\", \"bp\": \"e\"";
+      out += ", \"id\": ";
+      append_u64(out, e->flow_id);
+      out += ", \"ts\": ";
+      append_double(out, e->ts_us);
     } else {
-      line += ", \"ph\": \"C\", \"ts\": " + format_double(e->ts_us);
+      out += ", \"ph\": \"C\", \"ts\": ";
+      append_double(out, e->ts_us);
     }
-    line += ", \"pid\": " + format_u64(e->pid) + ", \"tid\": " + format_u64(e->tid);
-    if (!e->args_json.empty()) line += ", \"args\": " + e->args_json;
-    line += "}";
-    emit(line);
+    out += ", \"pid\": ";
+    append_u64(out, e->pid);
+    out += ", \"tid\": ";
+    append_u64(out, e->tid);
+    if (!e->args_json.empty()) {
+      out += ", \"args\": ";
+      out += e->args_json;
+    }
+    out += '}';
   }
   out += first ? "], " : "\n], ";
   out += "\"displayTimeUnit\": \"ms\"}\n";

@@ -2,13 +2,14 @@
 //
 // Determinism contract: the default export includes only metrics tagged
 // Determinism::kDeterministic, iterates in registration order, and formats
-// every double with one fixed printf spec — so a seeded run writes
-// byte-identical files on every execution and on every machine (the property
-// the `cli_metrics_deterministic` ctest entry asserts). Wall-clock metrics
-// appear only when ExportOptions::include_wall_clock is set, and such files
-// are explicitly not byte-stable.
+// every number through one locale-independent formatter — so a seeded run
+// writes byte-identical files on every execution and on every machine (the
+// property the `cli_metrics_deterministic` ctest entry asserts). Wall-clock
+// metrics appear only when ExportOptions::include_wall_clock is set, and
+// such files are explicitly not byte-stable.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -54,9 +55,19 @@ IoStatus write_file(const std::string& path, const std::string& content);
 IoStatus write_metrics(const MetricsRegistry& registry, const std::string& path,
                        ExportOptions options = {});
 
-/// The fixed double format shared by every deterministic sink ("%.9g",
-/// with "-0" normalized to "0"). Exposed so other exporters (the Chrome
-/// trace writer, bench JSON embedding) format identically.
+/// The fixed number format shared by every deterministic sink. Each helper
+/// appends in place: no temporary string per field and no locale lookup.
+///
+/// append_double writes std::to_chars general with precision 9 — by the
+/// [charconv] specification byte-equal to printf "%.9g" in the "C" locale —
+/// with "-0" normalized to "0"; NaN and infinities print as "nan", "-nan",
+/// "inf" and "-inf". The integer helpers write plain decimal.
+void append_double(std::string& out, double value);
+void append_u64(std::string& out, std::uint64_t value);
+void append_i64(std::string& out, std::int64_t value);
+
+/// append_double into a fresh string, for a caller that needs one value on
+/// its own.
 std::string format_double(double value);
 
 }  // namespace opass::obs

@@ -1,6 +1,7 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/require.hpp"
 #include "obs/attribution.hpp"
@@ -48,13 +49,17 @@ bool find_series(const TimelineRecorder& t, const std::string& name,
 }
 
 /// One inline SVG step chart of a single series.
-std::string svg_chart(const std::string& chart_id, const std::string& title,
+void append_svg_chart(std::string& out, const std::string& chart_id, const char* title,
                       const TimelineRecorder& t, const std::string& series) {
-  std::string out = "<figure>\n<figcaption>" + title + "</figcaption>\n";
+  out += "<figure>\n<figcaption>";
+  out += title;
+  out += "</figcaption>\n";
   TimelineRecorder::SeriesId id = 0;
   if (!find_series(t, series, id)) {
-    return out + "<p class=\"missing\" id=\"" + chart_id +
-           "\">series not recorded</p>\n</figure>\n";
+    out += "<p class=\"missing\" id=\"";
+    out += chart_id;
+    out += "\">series not recorded</p>\n</figure>\n";
+    return;
   }
   const std::vector<double> values = t.series_values(id);
   const std::vector<double> times = sample_times(t);
@@ -64,77 +69,102 @@ std::string svg_chart(const std::string& chart_id, const std::string& title,
   for (double v : values) vmax = std::max(vmax, v);
   const double tmax = times.empty() ? 0 : std::max(times.back(), t.interval());
 
-  out += "<svg id=\"" + chart_id + "\" viewBox=\"0 0 " +
-         std::to_string(kChartWidth) + " " + std::to_string(kChartHeight) +
-         "\" preserveAspectRatio=\"none\">\n";
-  std::string points;
+  out += "<svg id=\"";
+  out += chart_id;
+  out += "\" viewBox=\"0 0 ";
+  append_i64(out, kChartWidth);
+  out += ' ';
+  append_i64(out, kChartHeight);
+  out += "\" preserveAspectRatio=\"none\">\n"
+         "<polyline fill=\"none\" stroke=\"currentColor\" stroke-width=\"1.5\" "
+         "points=\"";
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double x = tmax > 0 ? times[i] / tmax * kChartWidth : 0;
     const double y = vmax > 0 ? kChartHeight - values[i] / vmax * kChartHeight
                               : kChartHeight;
-    if (!points.empty()) points += " ";
-    points += format_double(x) + "," + format_double(y);
+    if (i > 0) out += ' ';
+    append_double(out, x);
+    out += ',';
+    append_double(out, y);
   }
-  out += "<polyline fill=\"none\" stroke=\"currentColor\" stroke-width=\"1.5\" "
-         "points=\"" + points + "\"/>\n</svg>\n";
-  out += "<p class=\"axis\">0 &ndash; " + format_double(tmax) +
-         " s, peak " + format_double(vmax) + "</p>\n</figure>\n";
-  return out;
+  out += "\"/>\n</svg>\n<p class=\"axis\">0 &ndash; ";
+  append_double(out, tmax);
+  out += " s, peak ";
+  append_double(out, vmax);
+  out += "</p>\n</figure>\n";
 }
 
-std::string imbalance_json(const ImbalanceStats& s) {
-  return "{\"count\": " + std::to_string(s.count) +
-         ", \"mean\": " + format_double(s.mean) +
-         ", \"max\": " + format_double(s.max) +
-         ", \"degree_of_imbalance\": " + format_double(s.degree_of_imbalance) +
-         ", \"cv\": " + format_double(s.cv) +
-         ", \"gini\": " + format_double(s.gini) +
-         ", \"peak_over_mean\": " + format_double(s.peak_over_mean) + "}";
+void append_imbalance_json(std::string& out, const ImbalanceStats& s) {
+  out += "{\"count\": ";
+  append_u64(out, s.count);
+  out += ", \"mean\": ";
+  append_double(out, s.mean);
+  out += ", \"max\": ";
+  append_double(out, s.max);
+  out += ", \"degree_of_imbalance\": ";
+  append_double(out, s.degree_of_imbalance);
+  out += ", \"cv\": ";
+  append_double(out, s.cv);
+  out += ", \"gini\": ";
+  append_double(out, s.gini);
+  out += ", \"peak_over_mean\": ";
+  append_double(out, s.peak_over_mean);
+  out += '}';
 }
 
-std::string stragglers_json(const std::vector<Straggler>& list) {
-  std::string out = "[";
+void append_stragglers_json(std::string& out, const std::vector<Straggler>& list) {
+  out += '[';
   for (std::size_t i = 0; i < list.size(); ++i) {
     const Straggler& s = list[i];
     if (i > 0) out += ", ";
-    out += "{\"id\": " + std::to_string(s.id) +
-           ", \"finish\": " + format_double(s.finish) +
-           ", \"threshold\": " + format_double(s.threshold) + ", \"chunks\": [";
+    out += "{\"id\": ";
+    append_u64(out, s.id);
+    out += ", \"finish\": ";
+    append_double(out, s.finish);
+    out += ", \"threshold\": ";
+    append_double(out, s.threshold);
+    out += ", \"chunks\": [";
     for (std::size_t c = 0; c < s.causal_chunks.size(); ++c) {
       if (c > 0) out += ", ";
-      out += std::to_string(s.causal_chunks[c]);
+      append_u64(out, s.causal_chunks[c]);
     }
     out += "]}";
   }
-  return out + "]";
+  out += ']';
 }
 
-std::string imbalance_rows(const std::string& label, const ImbalanceStats& s) {
-  return "<tr><td>" + label + " degree of imbalance</td><td>" +
-         format_double(s.degree_of_imbalance) + "</td></tr>\n<tr><td>" + label +
-         " CV</td><td>" + format_double(s.cv) + "</td></tr>\n<tr><td>" + label +
-         " Gini</td><td>" + format_double(s.gini) + "</td></tr>\n<tr><td>" +
-         label + " peak / mean</td><td>" + format_double(s.peak_over_mean) +
-         "</td></tr>\n";
+void append_imbalance_rows(std::string& out, const char* label, const ImbalanceStats& s) {
+  const std::pair<const char*, double> rows[] = {
+      {" degree of imbalance", s.degree_of_imbalance},
+      {" CV", s.cv},
+      {" Gini", s.gini},
+      {" peak / mean", s.peak_over_mean}};
+  for (const auto& [name, value] : rows) {
+    out += "<tr><td>";
+    out += label;
+    out += name;
+    out += "</td><td>";
+    append_double(out, value);
+    out += "</td></tr>\n";
+  }
 }
 
-std::string straggler_rows(const std::string& label,
+void append_straggler_rows(std::string& out, const char* label,
                            const std::vector<Straggler>& list) {
-  std::string out = "<tr><td>";
+  out += "<tr><td>";
   out += label;
   out += "</td><td>";
-  out += std::to_string(list.size());
+  append_u64(out, list.size());
   if (!list.empty()) {
     out += " (";
     for (std::size_t i = 0; i < list.size(); ++i) {
       if (i > 0) out += ", ";
       out += '#';
-      out += std::to_string(list[i].id);
+      append_u64(out, list[i].id);
     }
     out += ")";
   }
   out += "</td></tr>\n";
-  return out;
 }
 
 }  // namespace
@@ -166,18 +196,23 @@ std::string ReportBuilder::html() const {
       "</style>\n</head>\n<body>\n<h1>opass run report</h1>\n";
   for (const MethodReport& m : methods_) {
     const TimelineRecorder& t = *m.timeline;
-    out += "<section id=\"method-" + m.name + "\">\n<h2>" + m.name + "</h2>\n";
-    out += "<table>\n";
-    out += "<tr><td>makespan</td><td>" + format_double(m.makespan) + " s</td></tr>\n";
-    out += "<tr><td>local read fraction</td><td>" + format_double(m.local_fraction) +
-           "</td></tr>\n";
-    out += imbalance_rows("serve bytes", m.analytics.serve_bytes);
-    out += imbalance_rows("process finish", m.analytics.process_finish);
-    out += straggler_rows("straggler nodes", m.analytics.straggler_nodes);
-    out += straggler_rows("straggler processes", m.analytics.straggler_processes);
+    out += "<section id=\"method-";
+    out += m.name;
+    out += "\">\n<h2>";
+    out += m.name;
+    out += "</h2>\n<table>\n<tr><td>makespan</td><td>";
+    append_double(out, m.makespan);
+    out += " s</td></tr>\n<tr><td>local read fraction</td><td>";
+    append_double(out, m.local_fraction);
+    out += "</td></tr>\n";
+    append_imbalance_rows(out, "serve bytes", m.analytics.serve_bytes);
+    append_imbalance_rows(out, "process finish", m.analytics.process_finish);
+    append_straggler_rows(out, "straggler nodes", m.analytics.straggler_nodes);
+    append_straggler_rows(out, "straggler processes", m.analytics.straggler_processes);
     if (t.dropped_ticks() > 0) {
-      out += "<tr><td>dropped ticks (ring wrap)</td><td>" +
-             std::to_string(t.dropped_ticks()) + "</td></tr>\n";
+      out += "<tr><td>dropped ticks (ring wrap)</td><td>";
+      append_u64(out, t.dropped_ticks());
+      out += "</td></tr>\n";
     }
     out += "</table>\n";
     if (m.spans != nullptr && !m.spans->empty()) {
@@ -191,10 +226,13 @@ std::string ReportBuilder::html() const {
                                  ? static_cast<double>(totals.kind_ticks[k]) /
                                        static_cast<double>(totals.total_ticks)
                                  : 0.0;
-        out += std::string("<tr><td>") + attr_kind_name(static_cast<AttrKind>(k)) +
-               "</td><td>" +
-               format_double(static_cast<double>(totals.kind_ticks[k]) * 1e-9) +
-               " s</td><td>" + format_double(100.0 * share) + "%</td></tr>\n";
+        out += "<tr><td>";
+        out += attr_kind_name(static_cast<AttrKind>(k));
+        out += "</td><td>";
+        append_double(out, static_cast<double>(totals.kind_ticks[k]) * 1e-9);
+        out += " s</td><td>";
+        append_double(out, 100.0 * share);
+        out += "%</td></tr>\n";
       }
       out += "</table>\n";
       std::vector<std::size_t> nodes;
@@ -206,20 +244,22 @@ std::string ReportBuilder::html() const {
       if (nodes.size() > 8) nodes.resize(8);
       if (!nodes.empty()) {
         out += "<h3>top blamed nodes</h3>\n<table>\n";
-        for (std::size_t n : nodes)
-          out += "<tr><td>node " + std::to_string(n) + "</td><td>" +
-                 format_double(static_cast<double>(totals.node_ticks[n]) * 1e-9) +
-                 " s</td></tr>\n";
+        for (std::size_t n : nodes) {
+          out += "<tr><td>node ";
+          append_u64(out, n);
+          out += "</td><td>";
+          append_double(out, static_cast<double>(totals.node_ticks[n]) * 1e-9);
+          out += " s</td></tr>\n";
+        }
         out += "</table>\n";
       }
     }
-    out += svg_chart("chart-" + m.name + "-serve-bytes",
-                     "cluster serve rate (bytes/s)", t,
-                     "timeline.cluster.serve_bytes_per_s");
-    out += svg_chart("chart-" + m.name + "-queue-depth",
+    append_svg_chart(out, "chart-" + m.name + "-serve-bytes", "cluster serve rate (bytes/s)",
+                     t, "timeline.cluster.serve_bytes_per_s");
+    append_svg_chart(out, "chart-" + m.name + "-queue-depth",
                      "executor queue depth (in-flight ops)", t,
                      "timeline.executor.queue_depth");
-    out += svg_chart("chart-" + m.name + "-bytes-remaining", "bytes remaining", t,
+    append_svg_chart(out, "chart-" + m.name + "-bytes-remaining", "bytes remaining", t,
                      "timeline.cluster.bytes_remaining");
     out += "</section>\n";
   }
@@ -233,32 +273,46 @@ std::string ReportBuilder::timeline_json() const {
     const MethodReport& m = methods_[mi];
     const TimelineRecorder& t = *m.timeline;
     out += mi > 0 ? ",\n" : "\n";
-    out += " {\"name\": \"" + m.name + "\"";
-    out += ", \"interval\": " + format_double(t.interval());
-    out += ", \"end_time\": " + format_double(t.end_time());
-    out += ", \"partial_duration\": " + format_double(t.partial_duration());
-    out += ", \"tick_count\": " + std::to_string(t.tick_count());
-    out += ", \"dropped_ticks\": " + std::to_string(t.dropped_ticks());
-    out += ", \"makespan\": " + format_double(m.makespan);
-    out += ", \"local_fraction\": " + format_double(m.local_fraction);
-    out += ",\n  \"analytics\": {\"serve_bytes\": " +
-           imbalance_json(m.analytics.serve_bytes) +
-           ", \"process_finish\": " + imbalance_json(m.analytics.process_finish) +
-           ", \"node_finish_p90\": " + format_double(m.analytics.node_finish_p90) +
-           ", \"process_finish_p90\": " +
-           format_double(m.analytics.process_finish_p90) +
-           ", \"straggler_nodes\": " + stragglers_json(m.analytics.straggler_nodes) +
-           ", \"straggler_processes\": " +
-           stragglers_json(m.analytics.straggler_processes) + "}";
-    out += ",\n  \"series\": [";
+    out += " {\"name\": \"";
+    out += m.name;
+    out += "\", \"interval\": ";
+    append_double(out, t.interval());
+    out += ", \"end_time\": ";
+    append_double(out, t.end_time());
+    out += ", \"partial_duration\": ";
+    append_double(out, t.partial_duration());
+    out += ", \"tick_count\": ";
+    append_u64(out, t.tick_count());
+    out += ", \"dropped_ticks\": ";
+    append_u64(out, t.dropped_ticks());
+    out += ", \"makespan\": ";
+    append_double(out, m.makespan);
+    out += ", \"local_fraction\": ";
+    append_double(out, m.local_fraction);
+    out += ",\n  \"analytics\": {\"serve_bytes\": ";
+    append_imbalance_json(out, m.analytics.serve_bytes);
+    out += ", \"process_finish\": ";
+    append_imbalance_json(out, m.analytics.process_finish);
+    out += ", \"node_finish_p90\": ";
+    append_double(out, m.analytics.node_finish_p90);
+    out += ", \"process_finish_p90\": ";
+    append_double(out, m.analytics.process_finish_p90);
+    out += ", \"straggler_nodes\": ";
+    append_stragglers_json(out, m.analytics.straggler_nodes);
+    out += ", \"straggler_processes\": ";
+    append_stragglers_json(out, m.analytics.straggler_processes);
+    out += "},\n  \"series\": [";
     for (TimelineRecorder::SeriesId id = 0; id < t.series_count(); ++id) {
       out += id > 0 ? ",\n   " : "\n   ";
-      out += "{\"name\": \"" + t.series_name(id) + "\", \"kind\": \"" +
-             series_kind_name(t.series_kind(id)) + "\", \"values\": [";
+      out += "{\"name\": \"";
+      out += t.series_name(id);
+      out += "\", \"kind\": \"";
+      out += series_kind_name(t.series_kind(id));
+      out += "\", \"values\": [";
       const std::vector<double> values = t.series_values(id);
       for (std::size_t i = 0; i < values.size(); ++i) {
         if (i > 0) out += ", ";
-        out += format_double(values[i]);
+        append_double(out, values[i]);
       }
       out += "]}";
     }

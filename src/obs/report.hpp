@@ -10,9 +10,9 @@
 // tools/bench_compare.py.
 //
 // Determinism contract: both renderers iterate methods in add order and
-// series in registration order, and format every double through
-// obs::format_double — a seeded run writes byte-identical artifacts (the
-// `cli_report_deterministic` ctest entry asserts this).
+// series in registration order, and append every number in place through
+// obs::append_double / append_u64 — a seeded run writes byte-identical
+// artifacts (the `cli_report_deterministic` ctest entry asserts this).
 #pragma once
 
 #include <cstdint>

@@ -171,6 +171,16 @@ TEST(MetricsIo, CsvQuotesAdversarialLabels) {
   EXPECT_EQ(csv.find("\nsay \"hi\","), std::string::npos);
 }
 
+TEST(MetricsIo, JsonEscapesControlCharacters) {
+  // Control bytes become lowercase \u00xx escapes; the named escapes keep
+  // their short forms.
+  MetricsRegistry reg;
+  reg.counter_add(std::string("ctl\x01\x1f") + "tab\tnl\nq\"bs\\", 1);
+  const std::string json = to_json(reg);
+  EXPECT_NE(json.find("\"ctl\\u0001\\u001ftab\\tnl\\nq\\\"bs\\\\\""), std::string::npos)
+      << json;
+}
+
 // --- phase timers -----------------------------------------------------------
 
 TEST(PhaseTimers, RecordPhaseWritesDeterministicGauge) {

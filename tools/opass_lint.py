@@ -55,6 +55,12 @@ Rules (all scoped to src/ unless noted):
                     (DESIGN.md §12) see every lock and every parallel region.
                     A deliberate exception carries an inline
                     allow(no-raw-thread) marker.
+  obs-number-format (scoped to src/obs/ and src/exp/service_trace.cpp) No
+                    snprintf / sprintf / std::ostringstream: the observation
+                    renderers write number text through obs::append_double /
+                    append_u64 / append_i64 (obs/metrics_io.hpp), which are
+                    locale-independent, allocate nothing per field, and are
+                    the one place the sinks' byte format is defined.
   pq-top-copy       No by-value initialization from `.top()`:
                     `auto fn = q.top();` (or a `std::function<...>` copy of
                     `.top().fn`) deep-copies the element — and since
@@ -140,6 +146,14 @@ RAW_THREAD = re.compile(
     r"|lock_guard\b|unique_lock\b|scoped_lock\b|shared_lock\b|call_once\b"
     r"|once_flag\b|future\b|promise\b|async\b|counting_semaphore\b"
     r"|binary_semaphore\b|barrier\b|latch\b)")
+# printf-family formatting and string streams — what obs-number-format keeps
+# out of the observation renderers. vsnprintf and friends are covered by the
+# optional v/n letters.
+PRINTF_OR_STREAM = re.compile(
+    r"(?<![\w:])(?:std::)?v?sn?printf\s*\(|(?<![\w:])(?:std::)?ostringstream\b")
+# Where obs-number-format applies: the sink renderers and the service-trace
+# replay rendering.
+NUMBER_FORMAT_SCOPE = ("src/obs/", "src/exp/service_trace.cpp")
 # The sanctioned homes: the pool implementation itself and the annotation
 # vocabulary it is built on.
 RAW_THREAD_EXEMPT = (
@@ -263,6 +277,20 @@ def check_pq_top_copy(path: pathlib.Path, text: str, findings: list):
                     "a const reference or pop_heap and move from the back"))
 
 
+def check_obs_number_format(path: pathlib.Path, root: pathlib.Path, text: str,
+                            findings: list):
+    rel = path.relative_to(root).as_posix()
+    if not rel.startswith(NUMBER_FORMAT_SCOPE):
+        return
+    for m in PRINTF_OR_STREAM.finditer(scrub(text)):
+        findings.append(
+            Finding(path, _line_of(text, m.start()), "obs-number-format",
+                    f"'{m.group(0).rstrip('( ')}' in an observation renderer — "
+                    "append numbers in place with obs::append_double / "
+                    "append_u64 / append_i64 (locale-independent, no "
+                    "temporaries; obs/metrics_io.hpp)"))
+
+
 def check_no_raw_thread(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
     rel = path.relative_to(root).as_posix()
     if rel in RAW_THREAD_EXEMPT:
@@ -326,6 +354,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_pq_top_copy(path, text, findings)
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
+        check_obs_number_format(path, root, text, findings)
     # bench/ and examples/ consume the planner API, so only the API-usage
     # rule applies there; tests/ stays exempt (unit tests exercise the
     # per-planner entry points on purpose).
@@ -388,6 +417,13 @@ _VIOLATIONS = {
         "#include <mutex>\n"
         "std::mutex g_mu;\n"
         "void f() { std::lock_guard<std::mutex> lock(g_mu); }\n",
+    ),
+    "obs-number-format": (
+        "obs/bad_number_format.cpp",
+        "#include <cstdio>\n#include <sstream>\n#include <string>\n"
+        "std::string f(double v) {\n"
+        "  char buf[32];\n  std::snprintf(buf, sizeof buf, \"%.9g\", v);\n"
+        "  std::ostringstream os;\n  os << buf;\n  return os.str();\n}\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -469,6 +505,23 @@ _CLEANS = (
         '#include "common/thread_annotations.hpp"\n'
         "opass::Mutex mu_;\n"
         "void locked() { opass::ScopedLock lock(mu_); }\n",
+    ),
+    (
+        # The compliant renderer spelling obs-number-format must NOT flag:
+        # append helpers, a prose mention inside a comment, and a
+        # "snprintf" string literal (comments and strings are scrubbed).
+        "obs/clean_number_format.cpp",
+        '#include "obs/metrics_io.hpp"\n'
+        "// Replaces the old snprintf(\"%.9g\") body.\n"
+        "void f(std::string& out, double v) {\n"
+        "  append_double(out, v);\n  out += \"snprintf(\";\n}\n",
+    ),
+    (
+        # Outside the rule's scope, printf-family formatting stays legal
+        # (table and unit helpers in src/common/ use it).
+        "common/clean_printf.cpp",
+        "#include <cstdio>\n"
+        "void g(char* buf, double v) { std::snprintf(buf, 16, \"%.1f\", v); }\n",
     ),
     (
         # Reference bindings from .top() are the compliant spelling pq-top-copy
