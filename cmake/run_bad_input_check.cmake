@@ -3,8 +3,11 @@
 #
 #   cmake -DCLI=<path-to-opass_cli> -P cmake/run_bad_input_check.cmake
 #
-# Each argument set below is out of range or unsupported. The CLI must reject
-# every one with exit code 2 and a message, never abort (134) or run. The
+# Each argument set below is malformed, out of range or unsupported. The CLI
+# must reject every one with exit code 2 and a message, never abort (134) or
+# run. A non-numeric integer flag must not escape as an exception, and a
+# negative compute time is rejected for every scenario, not only the ones
+# whose workload generator would abort on it. The
 # paraview and iterative scenarios and the service-trace replay arm no fault
 # plan, so --fault-plan with them must be rejected rather than silently
 # ignored.
@@ -19,6 +22,11 @@ set(cases
     "--replication=9,--nodes=4"
     "--replication=0"
     "--tasks=0"
+    "--nodes=abc"
+    "--tasks=abc"
+    "--seed=1.5"
+    "--scenario=dynamic,--compute=-1"
+    "--scenario=iterative,--compute=-1"
     "--scenario=paraview,--fault-plan=${CMAKE_CURRENT_LIST_DIR}/../bench/faults/crash.json"
     "--scenario=iterative,--fault-plan=${CMAKE_CURRENT_LIST_DIR}/../bench/faults/crash.json"
     "--service-trace=${CMAKE_CURRENT_LIST_DIR}/../bench/traces/service_small.trace,--fault-plan=${CMAKE_CURRENT_LIST_DIR}/../bench/faults/crash.json")

@@ -34,6 +34,7 @@
 // same data as one self-contained HTML page (inline SVG charts, no external
 // assets). Both are byte-identical across runs of one seed. When --trace-out
 // is also given, the cluster-wide series join the trace as counter tracks.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -358,6 +359,33 @@ int main(int argc, char** argv) {
     return opts.boolean("help") ? 0 : 2;
   }
 
+  // Every numeric flag must parse before any is used: a malformed value
+  // (--nodes=abc, --seed=1.5) exits 2 instead of escaping main as an
+  // exception.
+  for (const char* flag : {"nodes", "tasks", "replication", "seed", "threads"}) {
+    try {
+      (void)opts.integer(flag);
+    } catch (const std::invalid_argument&) {
+      std::fprintf(stderr, "error: --%s=%s is not an integer\n", flag, opts.str(flag).c_str());
+      return 2;
+    }
+  }
+  for (const char* flag : {"compute", "sample-interval", "batch-window"}) {
+    try {
+      (void)opts.real(flag);
+    } catch (const std::invalid_argument&) {
+      std::fprintf(stderr, "error: --%s=%s is not a number\n", flag, opts.str(flag).c_str());
+      return 2;
+    }
+  }
+  // Compute time is a duration in every scenario; a negative one would abort
+  // the dynamic workload generator and silently run as 0 elsewhere.
+  const double compute = opts.real("compute");
+  if (!(compute >= 0) || !std::isfinite(compute)) {
+    std::fprintf(stderr, "error: compute must be a finite number >= 0\n");
+    return 2;
+  }
+
   // Range-check the sizes before the unsigned casts: a negative value would
   // wrap to ~4e9, and the library rejects the rest by throwing.
   const long long nodes = opts.integer("nodes");
@@ -440,7 +468,6 @@ int main(int argc, char** argv) {
 
   const std::string method = opts.str("method");
   const auto tasks = static_cast<std::uint32_t>(tasks_arg);
-  const double compute = opts.real("compute");
   const bool csv = opts.boolean("csv");
 
   if (opts.boolean("audit")) {

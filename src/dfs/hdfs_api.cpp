@@ -211,7 +211,8 @@ std::vector<std::vector<dfs::NodeId>> hdfsGetHosts(hdfsFS fs, const std::string&
     const Bytes c_begin = static_cast<Bytes>(ci) * chunk_size;
     const Bytes c_end = c_begin + fs->nn->chunk(fi.chunks[ci]).size;
     if (c_end <= begin || c_begin >= end) continue;
-    out.push_back(fs->nn->locations(fi.chunks[ci]));
+    const dfs::ReplicaSet& hosts = fs->nn->locations(fi.chunks[ci]);
+    out.emplace_back(hosts.begin(), hosts.end());
   }
   return out;
 }

@@ -71,7 +71,7 @@ class NameNode {
   static constexpr FileId kInvalidFile = UINT32_MAX;
 
   /// Replica locations of a chunk (the layout query).
-  const std::vector<NodeId>& locations(ChunkId id) const { return chunk(id).replicas; }
+  const ReplicaSet& locations(ChunkId id) const { return chunk(id).replicas; }
 
   /// All chunk ids with a replica on `node`.
   const std::vector<ChunkId>& chunks_on_node(NodeId node) const;

@@ -155,6 +155,16 @@ void accumulate(runtime::ExecutionResult& agg, const runtime::ExecutionResult& s
   agg.read_failures += step.read_failures;
 }
 
+/// Size a run-level aggregate once for `reads` records and `tasks` task
+/// spans (breakdowns too when the run records them), so accumulate() never
+/// regrows it between steps or epochs.
+void reserve_aggregate(runtime::ExecutionResult& agg, std::size_t reads, std::size_t tasks,
+                       bool breakdowns) {
+  agg.trace.reserve(reads);
+  agg.task_spans.reserve(tasks);
+  if (breakdowns) agg.read_breakdowns.reserve(reads);
+}
+
 RunOutput reduce(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
                  const runtime::ExecutionResult& exec, const core::ProcessPlacement& placement,
                  const runtime::Assignment* assignment) {
@@ -370,6 +380,12 @@ ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
   ec.probe = timeline.executor_probe();
 
   runtime::ExecutionResult agg;  // run-level aggregate across rendering steps
+  std::size_t step_reads = 0, step_task_count = 0;
+  for (const auto& step : wl.steps) {
+    step_task_count += step.size();
+    for (runtime::TaskId t : step) step_reads += wl.tasks[t].inputs.size();
+  }
+  reserve_aggregate(agg, step_reads, step_task_count, ec.record_read_breakdown);
   Bytes planned_total = 0, planned_local = 0;
 
   // One workspace across all rendering steps: per-step replanning reuses the
@@ -461,6 +477,8 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
                             static_cast<std::uint32_t>(placement.size()));
   ec.probe = timeline.executor_probe();
   runtime::ExecutionResult agg;  // run-level aggregate across epochs
+  reserve_aggregate(agg, runtime::total_task_inputs(tasks) * epochs, tasks.size() * epochs,
+                    ec.record_read_breakdown);
 
   for (std::uint32_t e = 0; e < epochs; ++e) {
     const Seconds epoch_start = cluster.simulator().now();

@@ -42,6 +42,12 @@ class Driver {
     for (ProcessId p = 0; p < m; ++p) {
       states_[p].node = static_cast<dfs::NodeId>(p % cluster.node_count());
     }
+    // Size the per-read outputs from the task table once, so recording a
+    // read or a task never regrows them mid-run.
+    const std::size_t reads = total_task_inputs(tasks);
+    result_.trace.reserve(reads);
+    result_.task_spans.reserve(tasks.size());
+    if (breakdown_) result_.read_breakdowns.reserve(reads);
   }
 
   /// Launch all processes at `start_time` (>= now).
@@ -72,6 +78,11 @@ class Driver {
     TaskId computing = kInvalidTask;   ///< task whose compute is in flight
     Seconds computing_start = 0;       ///< pull time of `computing`
     std::uint32_t events_pending = 0;
+    /// The process's one in-flight read (reads are sequential per process,
+    /// prefetch included). Kept here rather than in the completion closure,
+    /// so the closure is {this, p} and fits std::function's small buffer.
+    sim::ReadRecord read;
+    bool reading = false;
   };
 
   void pull_next_task(ProcessId p) {
@@ -398,9 +409,8 @@ class Driver {
       server = dfs::choose_serving_node(info, st.node, cluster_.inflight_per_node(),
                                         replica_choice_, rng_);
     } else {
-      dfs::ChunkInfo alive = info;
-      std::erase_if(alive.replicas,
-                    [this](dfs::NodeId n) { return cluster_.is_failed(n); });
+      dfs::ChunkInfo alive = info;  // inline replica set: no allocation
+      erase_if(alive.replicas, [this](dfs::NodeId n) { return cluster_.is_failed(n); });
       OPASS_REQUIRE(!alive.replicas.empty(),
                     "all replicas of a chunk are on failed nodes");
       server = dfs::choose_serving_node(alive, st.node, cluster_.inflight_per_node(),
@@ -412,34 +422,37 @@ class Driver {
   /// Issue the read with the serving replica already chosen (the staged
   /// local fast path skips choose_serving_node; see pull_wave).
   void issue_read_to(ProcessId p, dfs::ChunkId cid, dfs::NodeId server) {
-    const ProcState& st = states_[p];
-    const dfs::ChunkInfo& info = nn_.chunk(cid);
-
-    sim::ReadRecord rec;
+    ProcState& st = states_[p];
+    OPASS_CHECK(!st.reading, "a process issued a second concurrent read");
+    st.reading = true;
+    sim::ReadRecord& rec = st.read;
     rec.process = p;
     rec.reader_node = st.node;
     rec.serving_node = server;
     rec.chunk = cid;
     rec.task = st.task;
-    rec.bytes = info.size;
+    rec.bytes = nn_.chunk(cid).size;
     rec.issue_time = cluster_.simulator().now();
     rec.local = server == st.node;
 
     bump_depth(p, +1);
     cluster_.read(
-        st.node, server, info.size,
-        [this, p, rec](Seconds end) mutable {
+        st.node, server, rec.bytes,
+        [this, p](Seconds end) {
           bump_depth(p, -1);
-          rec.end_time = end;
-          result_.trace.add(rec);
+          ProcState& done = states_[p];
+          done.reading = false;
+          done.read.end_time = end;
+          result_.trace.add(done.read);
           if (breakdown_) result_.read_breakdowns.push_back(cluster_.last_read_breakdown());
           read_next_input(p);
         },
-        [this, p, cid](Seconds) {
+        [this, p](Seconds) {
           // Server died mid-read: retry on another replica.
           bump_depth(p, -1);
           ++result_.read_failures;
-          issue_read(p, cid);
+          states_[p].reading = false;
+          issue_read(p, states_[p].read.chunk);
         });
   }
 

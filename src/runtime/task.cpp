@@ -24,4 +24,10 @@ Bytes total_task_bytes(const dfs::NameNode& nn, const std::vector<Task>& tasks) 
   return total;
 }
 
+std::size_t total_task_inputs(const std::vector<Task>& tasks) {
+  std::size_t total = 0;
+  for (const auto& t : tasks) total += t.inputs.size();
+  return total;
+}
+
 }  // namespace opass::runtime

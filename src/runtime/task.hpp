@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/inline_vec.hpp"
 #include "common/units.hpp"
 #include "dfs/namenode.hpp"
 #include "dfs/types.hpp"
@@ -21,10 +22,14 @@ using ProcessId = std::uint32_t;
 
 inline constexpr TaskId kInvalidTask = UINT32_MAX;
 
+/// Input chunks of one task. Four stay inline (the paper's tasks read one or
+/// three); longer lists spill to the heap.
+using TaskInputs = InlineVec<dfs::ChunkId, 4>;
+
 /// One data-processing task.
 struct Task {
   TaskId id = 0;
-  std::vector<dfs::ChunkId> inputs;  ///< chunks read (in order) before compute
+  TaskInputs inputs;                 ///< chunks read (in order) before compute
   Seconds compute_time = 0;          ///< post-read processing time
 
   /// Total input bytes of the task (the paper's d(t_j) size).
@@ -42,5 +47,9 @@ std::vector<Task> single_input_tasks(const dfs::NameNode& nn,
 
 /// Total bytes across all tasks.
 Bytes total_task_bytes(const dfs::NameNode& nn, const std::vector<Task>& tasks);
+
+/// Total input chunks across all tasks: the reads one pass over the table
+/// issues.
+std::size_t total_task_inputs(const std::vector<Task>& tasks);
 
 }  // namespace opass::runtime

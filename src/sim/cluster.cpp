@@ -229,11 +229,10 @@ void Cluster::admit(ReadId id) {
     ReadOp& read = read_pool_[rslot];
     if (!read.active || read.tag != static_cast<std::uint32_t>(id >> 32))
       return;  // aborted by a failure meanwhile
-    std::vector<ResourceId> path;
-    if (read.reader == read.server) {
-      path = {disk_[read.server]};
-    } else {
-      path = {disk_[read.server], nic_out_[read.server], nic_in_[read.reader]};
+    ResourcePath path{disk_[read.server]};  // inline: no heap allocation per read
+    if (read.reader != read.server) {
+      path.push_back(nic_out_[read.server]);
+      path.push_back(nic_in_[read.reader]);
       if (!rack_up_.empty() && rack_of_node_[read.reader] != rack_of_node_[read.server]) {
         path.push_back(rack_up_[rack_of_node_[read.server]]);
         path.push_back(rack_down_[rack_of_node_[read.reader]]);
@@ -243,7 +242,7 @@ void Cluster::admit(ReadId id) {
     const BytesPerSec cap = read.reader == read.server ? 0.0 : params_.remote_stream_cap;
     read.transferring = true;
     read.transfer_start_ticks = to_ticks(sim_.now());
-    read.flow = sim_.start_flow(std::move(path), read.bytes,
+    read.flow = sim_.start_flow(path, read.bytes,
                               [this, id](Seconds end) {
                                 const std::uint32_t cslot = static_cast<std::uint32_t>(id);
                                 ReadOp& done = read_pool_[cslot];
@@ -340,12 +339,12 @@ void Cluster::send(dfs::NodeId src, dfs::NodeId dst, Bytes bytes,
       params_.remote_latency + (cross_rack ? params_.cross_rack_latency : 0.0);
   sim_.after(latency, [this, src, dst, bytes, cross_rack,
                        cb = std::move(on_complete)](Seconds) mutable {
-    std::vector<ResourceId> path{nic_out_[src], nic_in_[dst]};
+    ResourcePath path{nic_out_[src], nic_in_[dst]};
     if (!rack_up_.empty() && cross_rack) {
       path.push_back(rack_up_[rack_of_node_[src]]);
       path.push_back(rack_down_[rack_of_node_[dst]]);
     }
-    sim_.start_flow(std::move(path), bytes, [cb = std::move(cb)](Seconds end) {
+    sim_.start_flow(path, bytes, [cb = std::move(cb)](Seconds end) {
       if (cb) cb(end);
     });
   });
@@ -362,8 +361,9 @@ void Cluster::write_pipeline(dfs::NodeId writer, const std::vector<dfs::NodeId>&
 
   // Resource set of the cut-through stream: each hop's NICs plus every
   // replica's disk. Duplicate resources (e.g. a node appearing twice on the
-  // chain) are collapsed — the flow engine expects distinct entries.
-  std::vector<ResourceId> path;
+  // chain) are collapsed — the flow engine expects distinct entries. A chain
+  // of more than two replicas crosses more than six resources and spills.
+  ResourcePath path;
   auto add_unique = [&path](ResourceId r) {
     for (ResourceId existing : path)
       if (existing == r) return;
@@ -390,7 +390,7 @@ void Cluster::write_pipeline(dfs::NodeId writer, const std::vector<dfs::NodeId>&
       params_.seek_latency + params_.remote_latency * static_cast<double>(network_hops);
   sim_.after(latency, [this, path = std::move(path), bytes,
                        cb = std::move(on_complete)](Seconds) mutable {
-    sim_.start_flow(std::move(path), bytes, [cb = std::move(cb)](Seconds end) {
+    sim_.start_flow(path, bytes, [cb = std::move(cb)](Seconds end) {
       if (cb) cb(end);
     });
   });

@@ -132,7 +132,7 @@ void FlowSimulator::set_rate(std::uint32_t slot, double rate, ResourceId binding
   push_eta(slot);
 }
 
-FlowId FlowSimulator::start_flow(std::vector<ResourceId> resources, Bytes bytes,
+FlowId FlowSimulator::start_flow(std::span<const ResourceId> resources, Bytes bytes,
                                  std::function<void(Seconds)> on_complete,
                                  BytesPerSec rate_cap) {
   OPASS_REQUIRE(!resources.empty(), "a flow must cross at least one resource");
@@ -152,7 +152,7 @@ FlowId FlowSimulator::start_flow(std::vector<ResourceId> resources, Bytes bytes,
   Flow& f = flows_[slot];
   OPASS_CHECK(!f.active && f.resources.empty() && !f.on_complete,
               "flow slot reused before being fully retired");
-  f.resources = std::move(resources);
+  f.resources = resources;
   f.bytes_anchor = static_cast<double>(bytes);
   f.anchor_time = now_;
   f.rate = 0;
@@ -218,7 +218,8 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
   f.bytes_anchor = 0;
   f.on_complete = nullptr;
   ++f.epoch;
-  std::vector<ResourceId>().swap(f.resources);  // release storage on retirement
+  f.resources.clear();
+  f.resources.shrink_to_fit();  // frees a spilled path block
   std::vector<BindingInterval>().swap(f.attr);
   --flows_active_;
   free_slots_.push_back(slot);
@@ -229,11 +230,12 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
 
 /// Exhaustive slot-reuse invariants, run on every retirement under the
 /// sanitizer presets: the slot must be detached from every resource index,
-/// its per-flow storage released, and the free list duplicate-free. O(cluster)
+/// its per-flow storage released (no resources, no spilled path block, no
+/// binding history), and the free list duplicate-free. O(cluster)
 /// per retirement — far too slow for benchmarking, invaluable under ASan.
 void FlowSimulator::audit_retired_slot(std::uint32_t slot) const {
   const Flow& f = flows_[slot];
-  OPASS_CHECK(!f.active && f.resources.capacity() == 0 && !f.on_complete &&
+  OPASS_CHECK(!f.active && f.resources.empty() && !f.resources.spilled() && !f.on_complete &&
                   f.attr.capacity() == 0,
               "retired flow slot still holds state");
   for (const Resource& res : resources_)

@@ -28,8 +28,11 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
+#include "common/inline_vec.hpp"
 #include "common/require.hpp"
 #include "common/units.hpp"
 
@@ -40,6 +43,11 @@ class ThreadPool;
 namespace opass::sim {
 
 using ResourceId = std::uint32_t;
+
+/// Resources one flow crosses. Six stay inline: the longest cluster path is a
+/// cross-rack copy (source disk, NIC out, rack up, rack down, destination
+/// NIC in, destination disk); longer write pipelines spill to the heap.
+using ResourcePath = InlineVec<ResourceId, 6>;
 
 /// Opaque flow handle: low 32 bits address a reusable flow slot, high 32 bits
 /// carry the creation tag that makes handles to retired flows inert.
@@ -103,8 +111,14 @@ class FlowSimulator {
   /// on the next event-loop step. `rate_cap` bounds the flow's own rate
   /// regardless of resource availability (models single-stream protocol
   /// limits, e.g. one HDFS read over one TCP connection); 0 means uncapped.
-  FlowId start_flow(std::vector<ResourceId> resources, Bytes bytes,
+  /// The path is copied into the flow's slot (inline up to six resources).
+  FlowId start_flow(std::span<const ResourceId> resources, Bytes bytes,
                     std::function<void(Seconds)> on_complete, BytesPerSec rate_cap = 0);
+  FlowId start_flow(std::initializer_list<ResourceId> resources, Bytes bytes,
+                    std::function<void(Seconds)> on_complete, BytesPerSec rate_cap = 0) {
+    return start_flow(std::span<const ResourceId>(resources.begin(), resources.size()), bytes,
+                      std::move(on_complete), rate_cap);
+  }
 
   /// Schedule `fn(time)` at absolute virtual time `when` (>= now).
   void at(Seconds when, std::function<void(Seconds)> fn);
@@ -212,7 +226,7 @@ class FlowSimulator {
   };
 
   struct Flow {
-    std::vector<ResourceId> resources;
+    ResourcePath resources;
     double bytes_anchor = 0;   // bytes left as of anchor_time
     Seconds anchor_time = 0;   // last rate change (progress committed up to here)
     double rate = 0;

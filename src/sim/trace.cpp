@@ -1,37 +1,45 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/require.hpp"
 
 namespace opass::sim {
 
-std::vector<double> TraceRecorder::io_times() const {
-  std::vector<const ReadRecord*> ordered;
-  ordered.reserve(records_.size());
-  for (const auto& r : records_) ordered.push_back(&r);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const ReadRecord* a, const ReadRecord* b) {
-                     return a->end_time < b->end_time;
-                   });
+namespace {
+
+/// I/O times of `records` in stable ascending order of `key`. Sorting
+/// contiguous (key, index) pairs gives the stable order exactly: ties on the
+/// key fall back to the record index. Records already in key order (the
+/// executor appends in completion order) skip the sort.
+template <typename Key>
+std::vector<double> io_times_ordered_by(const std::vector<ReadRecord>& records, Key key) {
   std::vector<double> out;
-  out.reserve(ordered.size());
-  for (const auto* r : ordered) out.push_back(r->io_time());
+  out.reserve(records.size());
+  bool ordered = true;
+  for (std::size_t i = 1; i < records.size() && ordered; ++i)
+    ordered = !(key(records[i]) < key(records[i - 1]));
+  if (ordered) {
+    for (const auto& r : records) out.push_back(r.io_time());
+    return out;
+  }
+  std::vector<std::pair<Seconds, std::size_t>> keyed;
+  keyed.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) keyed.emplace_back(key(records[i]), i);
+  std::sort(keyed.begin(), keyed.end());
+  for (const auto& [k, i] : keyed) out.push_back(records[i].io_time());
   return out;
 }
 
+}  // namespace
+
+std::vector<double> TraceRecorder::io_times() const {
+  return io_times_ordered_by(records_, [](const ReadRecord& r) { return r.end_time; });
+}
+
 std::vector<double> TraceRecorder::io_times_by_issue() const {
-  std::vector<const ReadRecord*> ordered;
-  ordered.reserve(records_.size());
-  for (const auto& r : records_) ordered.push_back(&r);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const ReadRecord* a, const ReadRecord* b) {
-                     return a->issue_time < b->issue_time;
-                   });
-  std::vector<double> out;
-  out.reserve(ordered.size());
-  for (const auto* r : ordered) out.push_back(r->io_time());
-  return out;
+  return io_times_ordered_by(records_, [](const ReadRecord& r) { return r.issue_time; });
 }
 
 std::vector<Bytes> TraceRecorder::bytes_served_per_node(std::uint32_t node_count) const {

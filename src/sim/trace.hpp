@@ -60,10 +60,15 @@ class TraceRecorder {
   /// Drop all records (e.g. between epochs of an iterative run).
   void clear() { records_.clear(); }
 
-  /// Per-op I/O times in completion order (Fig. 7(c) / 9 / 11 / 12 series).
+  /// Make room for `n` records in total, so appends up to that count never
+  /// reallocate (the executor sizes it from the task table).
+  void reserve(std::size_t n) { records_.reserve(n); }
+
+  /// Per-op I/O times in completion order (Fig. 7(c) / 9 / 11 / 12 series):
+  /// a stable sort by end time, so equal end times keep record order.
   std::vector<double> io_times() const;
 
-  /// Per-op I/O times ordered by issue time.
+  /// Per-op I/O times ordered by issue time (stable, like io_times()).
   std::vector<double> io_times_by_issue() const;
 
   /// Bytes served by each node (Fig. 1(a) / 8 / 10 series) — the paper's

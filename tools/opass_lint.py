@@ -61,6 +61,14 @@ Rules (all scoped to src/ unless noted):
                     append_u64 / append_i64 (obs/metrics_io.hpp), which are
                     locale-independent, allocate nothing per field, and are
                     the one place the sinks' byte format is defined.
+  inline-hot-storage
+                    (scoped to three headers) The per-read lists stay in
+                    small-buffer storage: ChunkInfo::replicas
+                    (src/dfs/types.hpp), Task::inputs (src/runtime/task.hpp)
+                    and FlowSimulator::Flow::resources (src/sim/flow_sim.hpp)
+                    are InlineVec-backed (common/inline_vec.hpp). A
+                    std::vector member under one of those names puts a heap
+                    block and a pointer chase back on every read.
   pq-top-copy       No by-value initialization from `.top()`:
                     `auto fn = q.top();` (or a `std::function<...>` copy of
                     `.top().fn`) deep-copies the element — and since
@@ -151,6 +159,16 @@ RAW_THREAD = re.compile(
 # optional v/n letters.
 PRINTF_OR_STREAM = re.compile(
     r"(?<![\w:])(?:std::)?v?sn?printf\s*\(|(?<![\w:])(?:std::)?ostringstream\b")
+# A std::vector member declaration (`std::vector<...> name;` / `= ...` /
+# `{...}`) of one of the per-read list names. Parameters end in `,` or `)`
+# and do not match.
+VECTOR_MEMBER = re.compile(r"std::vector\s*<[^;{}()]*>\s+(\w+)\s*[;={]")
+# inline-hot-storage: header -> the member that must stay inline there.
+HOT_STORAGE = {
+    "src/dfs/types.hpp": "replicas",
+    "src/runtime/task.hpp": "inputs",
+    "src/sim/flow_sim.hpp": "resources",
+}
 # Where obs-number-format applies: the sink renderers and the service-trace
 # replay rendering.
 NUMBER_FORMAT_SCOPE = ("src/obs/", "src/exp/service_trace.cpp")
@@ -291,6 +309,22 @@ def check_obs_number_format(path: pathlib.Path, root: pathlib.Path, text: str,
                     "temporaries; obs/metrics_io.hpp)"))
 
 
+def check_inline_hot_storage(path: pathlib.Path, root: pathlib.Path, text: str,
+                             findings: list):
+    member = HOT_STORAGE.get(path.relative_to(root).as_posix())
+    if member is None:
+        return
+    for m in VECTOR_MEMBER.finditer(scrub(text)):
+        if m.group(1) != member:
+            continue
+        findings.append(
+            Finding(path, _line_of(text, m.start()), "inline-hot-storage",
+                    f"'{member}' is read on every chunk read; keep it in an "
+                    "InlineVec (common/inline_vec.hpp), not a std::vector — a "
+                    "heap block per list costs a pointer chase and a "
+                    "malloc/free per read"))
+
+
 def check_no_raw_thread(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
     rel = path.relative_to(root).as_posix()
     if rel in RAW_THREAD_EXEMPT:
@@ -352,6 +386,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_timeline_metric_name(path, text, findings)
         check_span_name(path, text, findings)
         check_pq_top_copy(path, text, findings)
+        check_inline_hot_storage(path, root, text, findings)
         check_no_raw_thread(path, root, text, findings)
         check_facade_only(path, root, text, findings)
         check_obs_number_format(path, root, text, findings)
@@ -424,6 +459,11 @@ _VIOLATIONS = {
         "std::string f(double v) {\n"
         "  char buf[32];\n  std::snprintf(buf, sizeof buf, \"%.9g\", v);\n"
         "  std::ostringstream os;\n  os << buf;\n  return os.str();\n}\n",
+    ),
+    "inline-hot-storage": (
+        "dfs/types.hpp",
+        "#pragma once\n#include <vector>\n"
+        "struct ChunkInfo {\n  unsigned id = 0;\n  std::vector<unsigned> replicas;\n};\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -522,6 +562,16 @@ _CLEANS = (
         "common/clean_printf.cpp",
         "#include <cstdio>\n"
         "void g(char* buf, double v) { std::snprintf(buf, 16, \"%.1f\", v); }\n",
+    ),
+    (
+        # The compliant inline-hot-storage spelling: the flow's path is an
+        # InlineVec, and std::vector stays legal for other members and for
+        # a parameter that happens to share the name.
+        "sim/flow_sim.hpp",
+        "#pragma once\n#include <vector>\n"
+        "struct Flow { ResourcePath resources; };\n"
+        "struct Resource { std::vector<unsigned> flows; };\n"
+        "void start(const std::vector<unsigned> resources, int bytes);\n",
     ),
     (
         # Reference bindings from .top() are the compliant spelling pq-top-copy
