@@ -10,7 +10,9 @@
 # whose workload generator would abort on it. The
 # paraview and iterative scenarios and the service-trace replay arm no fault
 # plan, so --fault-plan with them must be rejected rather than silently
-# ignored.
+# ignored. Enum flags (--scenario, and the --audit scenario restriction) and
+# the --threads range are validated once before any run, so the message is a
+# single line even under the default --method=both.
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "usage: cmake -DCLI=<opass_cli> -P run_bad_input_check.cmake")
 endif()
@@ -25,6 +27,10 @@ set(cases
     "--nodes=abc"
     "--tasks=abc"
     "--seed=1.5"
+    "--threads=0"
+    "--threads=100000"
+    "--scenario=bogus"
+    "--audit,--scenario=dynamic"
     "--scenario=dynamic,--compute=-1"
     "--scenario=iterative,--compute=-1"
     "--scenario=paraview,--fault-plan=${CMAKE_CURRENT_LIST_DIR}/../bench/faults/crash.json"
@@ -42,6 +48,10 @@ foreach(args IN LISTS cases)
   endif()
   if(err STREQUAL "")
     message(FATAL_ERROR "opass_cli ${args}: exit code 2 without a message")
+  endif()
+  string(STRIP "${err}" err_body)
+  if(err_body MATCHES "\n")
+    message(FATAL_ERROR "opass_cli ${args}: expected a one-line message, got: ${err}")
   endif()
 endforeach()
 

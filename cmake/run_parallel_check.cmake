@@ -1,4 +1,4 @@
-# Thread-count byte-identity gate for the worker-pool parallelism
+# Thread-count byte-identity gate for the planner's worker pool
 # (DESIGN.md §12), run as a ctest entry (see examples/CMakeLists.txt).
 # Invoked in script mode:
 #
@@ -8,11 +8,11 @@
 # Runs the same fixed-seed scenario once with --threads=1 (the serial path)
 # and once with --threads=4, writing metrics, Chrome trace and timeline files
 # to different paths, and requires every pair to be byte-identical. This is
-# the determinism contract of PlanOptions::threads / ExecutorConfig::pool /
-# FlowSimulator::set_parallelism: parallelism may change wall clock, never a
-# single output byte. When PLAN is set, the scenario additionally runs under
-# that fault plan, so crash-abort, re-plan and re-replication paths are held
-# to the same contract.
+# the determinism contract of ExperimentConfig::threads, which lends the pool
+# to PlanOptions::pool (the simulator and executor are serial): parallelism
+# may change wall clock, never a single output byte. When PLAN is set, the
+# scenario additionally runs under that fault plan, so crash-abort, re-plan
+# and re-replication paths are held to the same contract.
 if(NOT DEFINED CLI OR NOT DEFINED OUT_DIR)
   message(FATAL_ERROR "usage: cmake -DCLI=<opass_cli> -DOUT_DIR=<dir> [-DPLAN=<plan.json>] -P run_parallel_check.cmake")
 endif()

@@ -7,7 +7,7 @@
 //   opass_cli --scenario=single --metrics-out=metrics.json --trace-out=trace.json
 //   opass_cli --service-trace=bench/traces/service_small.trace --batch-window=0.5
 //   opass_cli --scenario=single --fault-plan=bench/faults/crash.json --method=both
-//   opass_cli --scenario=single --threads=4      # same bytes, less wall clock
+//   opass_cli --scenario=single --threads=4      # planner pool, same bytes
 //
 // Fault injection: --fault-plan loads a JSON fault/churn scenario
 // (sim/fault_plan.hpp documents the format) and arms it on each run's
@@ -81,9 +81,9 @@ struct ObsSinks {
   const sim::FaultPlan* faults = nullptr;
 };
 
-int run_method(const std::string& scenario, exp::Method method,
-               const exp::ExperimentConfig& cfg, std::uint32_t tasks, double compute,
-               bool csv, Table& table, const ObsSinks& sinks = {}) {
+void run_method(const std::string& scenario, exp::Method method,
+                const exp::ExperimentConfig& cfg, std::uint32_t tasks, double compute,
+                bool csv, Table& table, const ObsSinks& sinks = {}) {
   exp::ExperimentConfig run_cfg = cfg;
   runtime::ExecutionResult raw;
   run_cfg.metrics = sinks.metrics;
@@ -125,12 +125,8 @@ int run_method(const std::string& scenario, exp::Method method,
     spec.dataset_count = tasks;
     spec.datasets_per_step = std::min(tasks, cfg.nodes);
     out = exp::run_paraview(run_cfg, method, spec).run;
-  } else if (scenario == "iterative") {
+  } else {  // iterative; main() rejects any other scenario up front
     out = exp::run_iterative(run_cfg, tasks, /*epochs=*/4, method, compute).run;
-  } else {
-    std::fprintf(stderr, "unknown scenario '%s' (single|multi|dynamic|paraview|iterative)\n",
-                 scenario.c_str());
-    return 1;
   }
 
   const std::uint32_t pid = method == exp::Method::kBaseline ? 0 : 1;
@@ -191,31 +187,24 @@ int run_method(const std::string& scenario, exp::Method method,
                    Table::num(jain_fairness(out.served_mb), 3),
                    Table::num(out.makespan, 1)});
   }
-  return 0;
 }
 
 /// --audit mode: build the scenario's plan exactly as the run would, audit
 /// it, print the report. Returns 0 iff the plan is clean.
 int audit_method(const std::string& scenario, exp::Method method,
                  const exp::ExperimentConfig& cfg, std::uint32_t tasks) {
-  std::optional<exp::PlannedScenario> sc;
-  if (scenario == "single") {
-    sc = exp::plan_single_data(cfg, tasks, method);
-  } else if (scenario == "multi") {
-    sc = exp::plan_multi_data(cfg, tasks, method);
-  } else {
-    std::fprintf(stderr, "--audit supports the static-plan scenarios (single|multi), not '%s'\n",
-                 scenario.c_str());
-    return 2;
-  }
+  // main() admits only the static-plan scenarios (single|multi) here.
+  const exp::PlannedScenario sc = scenario == "single"
+                                      ? exp::plan_single_data(cfg, tasks, method)
+                                      : exp::plan_multi_data(cfg, tasks, method);
   core::AuditOptions audit_opts;
   // Opass single-data plans must respect the paper's TotalSize/m capacity;
   // the baseline's rank intervals satisfy it too, so gate both.
-  audit_opts.enforce_capacity = sc->single_data;
-  const auto report = core::audit_plan(sc->nn, sc->tasks, sc->assignment, sc->placement,
+  audit_opts.enforce_capacity = sc.single_data;
+  const auto report = core::audit_plan(sc.nn, sc.tasks, sc.assignment, sc.placement,
                                        audit_opts);
   std::printf("audit %s/%s (n=%zu tasks, m=%zu processes): %s", scenario.c_str(),
-              exp::method_name(method), sc->tasks.size(), sc->placement.size(),
+              exp::method_name(method), sc.tasks.size(), sc.placement.size(),
               report.to_string().c_str());
   return report.ok() ? 0 : 1;
 }
@@ -335,7 +324,7 @@ int main(int argc, char** argv) {
       .add("fault-plan", "", "JSON fault/churn scenario armed on each run's cluster")
       .add("plan-algorithm", "dinic", "max-flow solver for Opass planning: dinic | edmonds-karp")
       .add("threads", "1",
-           "worker-pool lanes for the simulator/executor/planner hot paths; "
+           "worker-pool lanes for the Opass planner's flow solves; "
            "output is byte-identical for every value (1 = serial)")
       .add("csv", "false", "emit per-op I/O times as CSV instead of the summary table")
       .add("audit", "false", "audit the scenario's plan statically instead of simulating")
@@ -404,6 +393,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Validate the enum flags once, before any run: a bad value exits 2 with
+  // one message rather than once per method.
+  const std::string scenario = opts.str("scenario");
+  if (scenario != "single" && scenario != "multi" && scenario != "dynamic" &&
+      scenario != "paraview" && scenario != "iterative") {
+    std::fprintf(stderr,
+                 "error: unknown scenario '%s' (single|multi|dynamic|paraview|iterative)\n",
+                 scenario.c_str());
+    return 2;
+  }
+  const std::string method = opts.str("method");
+  if (method != "baseline" && method != "opass" && method != "both") {
+    std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
+    return 2;
+  }
+  const bool audit = opts.boolean("audit");
+  if (audit && scenario != "single" && scenario != "multi") {
+    std::fprintf(stderr, "error: --audit supports the static-plan scenarios (single|multi), "
+                         "not '%s'\n", scenario.c_str());
+    return 2;
+  }
+
   exp::ExperimentConfig cfg;
   cfg.nodes = static_cast<std::uint32_t>(nodes);
   cfg.replication = static_cast<std::uint32_t>(replication);
@@ -426,9 +437,12 @@ int main(int argc, char** argv) {
                  opts.str("plan-algorithm").c_str());
     return 2;
   }
+  // The pool spawns threads - 1 workers up front; an unbounded count would
+  // fail thread creation and abort instead of exiting with a message.
+  constexpr long long kMaxThreads = 256;
   const long long threads = opts.integer("threads");
-  if (threads < 1) {
-    std::fprintf(stderr, "threads must be >= 1\n");
+  if (threads < 1 || threads > kMaxThreads) {
+    std::fprintf(stderr, "error: threads must be in [1, %lld]\n", kMaxThreads);
     return 2;
   }
   cfg.threads = static_cast<std::uint32_t>(threads);
@@ -444,7 +458,6 @@ int main(int argc, char** argv) {
   // Only the single, multi and dynamic runs arm a fault plan on their
   // cluster; reject it elsewhere rather than run as if it had been honoured.
   const std::string service_trace = opts.str("service-trace");
-  const std::string scenario = opts.str("scenario");
   const std::string fault_plan_path = opts.str("fault-plan");
   if (!fault_plan_path.empty() &&
       (!service_trace.empty() || scenario == "paraview" || scenario == "iterative")) {
@@ -466,15 +479,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string method = opts.str("method");
   const auto tasks = static_cast<std::uint32_t>(tasks_arg);
   const bool csv = opts.boolean("csv");
 
-  if (opts.boolean("audit")) {
-    if (method != "baseline" && method != "opass" && method != "both") {
-      std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
-      return 2;
-    }
+  if (audit) {
     int rc = 0;
     if (method == "baseline" || method == "both")
       rc |= audit_method(scenario, exp::Method::kBaseline, cfg, tasks);
@@ -517,13 +525,9 @@ int main(int argc, char** argv) {
   Table table({"method", "avg I/O (s)", "max I/O (s)", "local %", "Jain", "makespan (s)"});
   int rc = 0;
   if (method == "baseline" || method == "both")
-    rc |= run_method(scenario, exp::Method::kBaseline, cfg, tasks, compute, csv, table, sinks);
+    run_method(scenario, exp::Method::kBaseline, cfg, tasks, compute, csv, table, sinks);
   if (method == "opass" || method == "both")
-    rc |= run_method(scenario, exp::Method::kOpass, cfg, tasks, compute, csv, table, sinks);
-  if (method != "baseline" && method != "opass" && method != "both") {
-    std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
-    return 2;
-  }
+    run_method(scenario, exp::Method::kOpass, cfg, tasks, compute, csv, table, sinks);
   if (!csv && table.rows() > 0) {
     std::printf("scenario=%s nodes=%u tasks=%u r=%u seed=%llu placement=%s\n\n",
                 scenario.c_str(), cfg.nodes, tasks, cfg.replication,

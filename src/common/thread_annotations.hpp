@@ -1,8 +1,8 @@
 // Clang thread-safety-analysis annotations (-Wthread-safety), expanding to
-// nothing on other compilers. The parallelization work (worker-pool
-// re-leveling, sharded executor replay) must land with every shared field
-// annotated, so the analysis proves lock discipline at compile time on the
-// clang CI leg while gcc builds stay untouched.
+// nothing on other compilers. Concurrent code (the worker pool and its
+// planner callers) must land with every shared field annotated, so the
+// analysis proves lock discipline at compile time on the clang CI leg while
+// gcc builds stay untouched.
 //
 // Convention (enforced by review, documented in DESIGN.md "Static analysis
 // & layering"):

@@ -16,54 +16,6 @@ constexpr std::size_t kNoErrorChunk = static_cast<std::size_t>(-1);
 
 }  // namespace
 
-std::vector<std::size_t> weighted_chunk_bounds(const std::vector<std::uint64_t>& weights,
-                                               std::size_t max_chunks) {
-  const std::size_t count = weights.size();
-  std::vector<std::size_t> bounds{0};
-  if (count == 0) return bounds;
-  const std::size_t chunks = std::min(std::max<std::size_t>(max_chunks, 1), count);
-  std::uint64_t total = 0;
-  for (std::uint64_t w : weights) total += w;
-  if (chunks == 1) {
-    bounds.push_back(count);
-    return bounds;
-  }
-  if (total == 0) {
-    // No weight signal: fall back to the equal-count split.
-    const std::size_t per = count / chunks;
-    const std::size_t extra = count % chunks;
-    for (std::size_t k = 1; k < chunks; ++k)
-      bounds.push_back(k * per + std::min(k, extra));
-    bounds.push_back(count);
-    return bounds;
-  }
-  // Cut after item i once the prefix crosses the k-th equal-weight target
-  // (prefix * chunks >= total * k, in 128-bit to dodge overflow), but never
-  // eat into the one-item-per-remaining-range reserve. One heavy item may
-  // overshoot several targets; the skipped targets simply make the later
-  // ranges lighter.
-  std::uint64_t prefix = 0;
-  std::size_t k = 1;
-  for (std::size_t i = 0; i < count && k < chunks; ++i) {
-    prefix += weights[i];
-    const bool crossed = static_cast<unsigned __int128>(prefix) * chunks >=
-                         static_cast<unsigned __int128>(total) * k;
-    const bool reserve_ok = count - (i + 1) >= chunks - k;
-    if (crossed && reserve_ok) {
-      bounds.push_back(i + 1);
-      ++k;
-    }
-  }
-  // Any targets still unmet get the smallest suffix that keeps every
-  // remaining range non-empty.
-  while (k < chunks) {
-    bounds.push_back(count - (chunks - k));
-    ++k;
-  }
-  bounds.push_back(count);
-  return bounds;
-}
-
 ThreadPool::ThreadPool(std::uint32_t threads)
     : thread_count_(std::max<std::uint32_t>(threads, 1)),
       lane_error_(thread_count_),

@@ -11,10 +11,8 @@
 // order across lanes; everything order-sensitive (reductions, commits into
 // shared structures) therefore happens either inside a chunk on
 // chunk-disjoint state, or after the batch barrier in ascending chunk index
-// order. parallel_transform_reduce() packages that rule: transforms run
-// concurrently, the reduction folds the per-chunk results left-to-right in
-// index order, so floating-point and container results are byte-identical to
-// a serial left fold — and identical for every thread count.
+// order, so results are byte-identical to a serial run — and identical for
+// every thread count.
 //
 // The shapes follow the classic thread-farm design (cf. the cs110
 // thread-pool/farm exemplars and Odinfs' pinned delegation threads in
@@ -34,19 +32,6 @@
 #include "common/require.hpp"
 
 namespace opass {
-
-/// Split [0, weights.size()) into at most `max_chunks` contiguous, non-empty
-/// ranges of approximately equal total weight, returned as boundary indices
-/// (bounds[k] .. bounds[k+1] is range k; bounds.front() == 0, bounds.back()
-/// == weights.size()). Cut after item i once the weight prefix crosses the
-/// next equal-share target, while always leaving at least one item per
-/// remaining range. A pure function of (weights, max_chunks) — no pool or
-/// scheduling state — so the partition is reproducible for any thread count
-/// (the size-aware analogue of parallel_for_chunks' equal-count split; the
-/// thread_pool weighted-split tests pin both purity and serial equality).
-/// Zero total weight degenerates to the equal-count split.
-std::vector<std::size_t> weighted_chunk_bounds(const std::vector<std::uint64_t>& weights,
-                                               std::size_t max_chunks);
 
 /// Fixed-size worker pool with deterministic (static, stealing-free) chunk
 /// assignment. `threads` counts the calling thread: ThreadPool(4) spawns 3
@@ -100,69 +85,6 @@ class ThreadPool {
       const std::size_t end = begin + per + (chunk < extra ? 1 : 0);
       fn(begin, end, chunk);
     });
-  }
-
-  /// Size-aware variant of parallel_for_chunks: split [0, weights.size())
-  /// into contiguous ranges of approximately equal total *weight* (not item
-  /// count) and run `fn(begin, end, chunk)` for each. The chunk budget is
-  /// min(thread_count, max(1, total_weight / max(min_weight_per_chunk, 1)))
-  /// and the boundaries come from weighted_chunk_bounds — a pure function of
-  /// the input shape, so per-chunk results are reproducible for every thread
-  /// count. Use when item costs are skewed (one giant connected component
-  /// among many singletons) and an equal-count split would leave all but one
-  /// lane idle.
-  template <typename F>
-  void parallel_weighted_for_chunks(const std::vector<std::uint64_t>& weights,
-                                    std::uint64_t min_weight_per_chunk, F&& fn) {
-    const std::size_t count = weights.size();
-    std::uint64_t total = 0;
-    for (std::uint64_t w : weights) total += w;
-    const std::uint64_t grain = std::max<std::uint64_t>(min_weight_per_chunk, 1);
-    const std::size_t max_chunks = static_cast<std::size_t>(
-        std::min<std::uint64_t>(thread_count_, std::max<std::uint64_t>(total / grain, 1)));
-    const std::vector<std::size_t> bounds = weighted_chunk_bounds(weights, max_chunks);
-    const std::size_t chunks = bounds.size() - 1;
-    if (chunks <= 1) {
-      if (count > 0) {
-        fn(std::size_t{0}, count, std::size_t{0});
-        note_inline_batch(1);
-      }
-      return;
-    }
-    parallel_chunks(chunks, [&](std::size_t chunk) {
-      fn(bounds[chunk], bounds[chunk + 1], chunk);
-    });
-  }
-
-  /// Map-reduce with *ordered* reduction: `transform(i)` runs concurrently
-  /// (chunked as in parallel_for_chunks), but the fold is exactly
-  ///   acc = reduce(std::move(acc), transform(0)); acc = reduce(..., 1); ...
-  /// left-to-right in index order — byte-identical to the serial fold for
-  /// any thread count, including non-associative double accumulation.
-  template <typename T, typename Transform, typename Reduce>
-  T parallel_transform_reduce(std::size_t count, T init, Transform&& transform,
-                              Reduce&& reduce, std::size_t min_per_chunk = 1) {
-    const std::size_t chunks = chunk_count_for(count, min_per_chunk);
-    if (chunks <= 1) {
-      T acc = std::move(init);
-      for (std::size_t i = 0; i < count; ++i) acc = reduce(std::move(acc), transform(i));
-      if (count > 0) note_inline_batch(1);
-      return acc;
-    }
-    // Each chunk folds its own contiguous range left-to-right into a slot;
-    // after the barrier the slots are folded in chunk order, which splices
-    // the per-index sequence back together exactly.
-    std::vector<std::vector<T>> partial(chunks);
-    parallel_for_chunks(count, min_per_chunk, [&](std::size_t begin, std::size_t end,
-                                                  std::size_t chunk) {
-      auto& out = partial[chunk];
-      out.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) out.push_back(transform(i));
-    });
-    T acc = std::move(init);
-    for (auto& chunk_results : partial)
-      for (auto& r : chunk_results) acc = reduce(std::move(acc), std::move(r));
-    return acc;
   }
 
   // --- observability (read when the pool is idle) ----------------------------

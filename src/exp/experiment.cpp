@@ -59,7 +59,8 @@ dfs::NameNode make_namenode(const ExperimentConfig& cfg) {
 
 /// The run's worker pool (DESIGN.md §12): the config's borrowed pool, a pool
 /// owned for the duration when the config asks for threads > 1, or nothing
-/// (serial). arm() lends it to the run's simulator and executor.
+/// (serial). Only the Opass planner borrows it; simulation and execution
+/// always run on the calling thread.
 struct PoolHarness {
   std::optional<ThreadPool> owned;
   ThreadPool* pool = nullptr;
@@ -72,12 +73,6 @@ struct PoolHarness {
       owned.emplace(cfg.threads);
       pool = &*owned;
     }
-  }
-
-  void arm(sim::Cluster& cluster, runtime::ExecutorConfig& ec) const {
-    if (pool == nullptr) return;
-    cluster.simulator().set_parallelism(pool);
-    ec.pool = pool;
   }
 
   /// Register the pool's execution profile (all wall-clock tagged, so
@@ -241,7 +236,6 @@ RunOutput simulate_planned(const ExperimentConfig& cfg, PlannedScenario& sc, Rng
   ec.process_count = static_cast<std::uint32_t>(sc.placement.size());
   ec.record_read_breakdown = cfg.spans != nullptr;
   PoolHarness pool(cfg);
-  pool.arm(cluster, ec);
   obs::RunTimeline timeline(cfg.timeline, cluster, ec.process_count);
   ec.probe = timeline.executor_probe();
   timeline.add_expected_bytes(runtime::total_task_bytes(sc.nn, sc.tasks));
@@ -288,7 +282,6 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
   ec.process_count = static_cast<std::uint32_t>(placement.size());
   ec.record_read_breakdown = cfg.spans != nullptr;
   PoolHarness pool(cfg);
-  pool.arm(cluster, ec);
   obs::RunTimeline timeline(cfg.timeline, cluster, ec.process_count);
   ec.probe = timeline.executor_probe();
   timeline.add_expected_bytes(runtime::total_task_bytes(nn, tasks));
@@ -374,7 +367,6 @@ ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
   ec.replica_choice = cfg.replica_choice;
   ec.record_read_breakdown = cfg.spans != nullptr;
   PoolHarness pool(cfg);
-  pool.arm(cluster, ec);
   // One timeline spans every rendering step; expected bytes grow per step.
   obs::RunTimeline timeline(cfg.timeline, cluster, m);
   ec.probe = timeline.executor_probe();
@@ -471,7 +463,6 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
   runtime::ExecutorConfig ec;
   ec.replica_choice = cfg.replica_choice;
   ec.record_read_breakdown = cfg.spans != nullptr;
-  pool.arm(cluster, ec);
   // One timeline spans every epoch; the same dataset is owed again each pass.
   obs::RunTimeline timeline(cfg.timeline, cluster,
                             static_cast<std::uint32_t>(placement.size()));

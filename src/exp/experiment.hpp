@@ -56,13 +56,13 @@ struct ExperimentConfig {
   /// same (maximum) number of tasks locally; the matched edge sets may
   /// differ, so fix this when byte-identical plans matter.
   graph::MaxFlowAlgorithm flow_algorithm = graph::MaxFlowAlgorithm::kDinic;
-  /// Worker-pool opt-in (DESIGN.md §12): with more than one lane, each run
-  /// drives the simulator's incremental re-leveling, the executor's wave
-  /// issue and the Opass flow solves through a deterministic pool. Every
-  /// output — plans, traces, metrics, timelines — is byte-identical to
-  /// threads = 1 (the determinism contract; enforced by ctest). `pool` lends
-  /// an existing pool (takes precedence); otherwise `threads > 1` spins one
-  /// up per run_* call. Default 1 = today's serial path.
+  /// Worker-pool opt-in for the Opass planner (DESIGN.md §12): with more
+  /// than one lane, its Dinic flow solves run through a deterministic pool;
+  /// simulation and execution stay serial. Every output — plans, traces,
+  /// metrics, timelines — is byte-identical to threads = 1 (the determinism
+  /// contract; enforced by ctest). `pool` lends an existing pool (takes
+  /// precedence); otherwise `threads > 1` spins one up per run_* call.
+  /// Default 1 = serial.
   std::uint32_t threads = 1;
   ThreadPool* pool = nullptr;
   sim::ClusterParams cluster;

@@ -7,19 +7,11 @@
 
 namespace opass::core {
 
-IncrementalPlanner::IncrementalPlanner(const dfs::NameNode& nn, ProcessPlacement placement,
-                                       graph::MaxFlowAlgorithm algorithm)
-    : nn_(nn), placement_(std::move(placement)), algorithm_(algorithm),
-      load_(placement_.size(), 0) {
+IncrementalPlanner::IncrementalPlanner(const dfs::NameNode& nn, ProcessPlacement placement)
+    : nn_(nn), placement_(std::move(placement)), load_(placement_.size(), 0) {
   OPASS_REQUIRE(!placement_.empty(), "need at least one process");
   for (dfs::NodeId node : placement_)
     OPASS_REQUIRE(node < nn.node_count(), "process placed on unknown node");
-}
-
-BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batch, Rng& rng) {
-  PlanOptions options;
-  options.algorithm = algorithm_;
-  return match_batch(batch, rng, options);
 }
 
 BatchPlan IncrementalPlanner::match_batch(const std::vector<runtime::Task>& batch, Rng& rng,

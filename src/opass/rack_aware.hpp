@@ -48,14 +48,4 @@ RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
                                             const ProcessPlacement& placement, Rng& rng,
                                             RackAwareOptions options = {});
 
-/// Legacy algorithm-enum form, kept source-compatible; prefer the
-/// options-last overload (or the plan() facade).
-inline RackAwarePlan assign_single_data_rack_aware(const dfs::NameNode& nn,
-                                                   const std::vector<runtime::Task>& tasks,
-                                                   const ProcessPlacement& placement, Rng& rng,
-                                                   graph::MaxFlowAlgorithm algorithm) {
-  return assign_single_data_rack_aware(nn, tasks, placement, rng,
-                                       RackAwareOptions{algorithm, nullptr});
-}
-
 }  // namespace opass::core

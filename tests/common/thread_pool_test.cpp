@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -85,37 +84,6 @@ TEST(ThreadPool, ChunkBoundariesAreAFunctionOfShapeNotTiming) {
     return ranges;
   };
   EXPECT_EQ(record(), record());
-}
-
-TEST(ThreadPool, OrderedReductionMatchesSerialFoldExactly) {
-  // Non-associative double accumulation: the ordered fold must be
-  // bit-identical to the serial left fold for every thread count.
-  const std::size_t n = 10000;
-  auto transform = [](std::size_t i) {
-    return 1.0 / (1.0 + static_cast<double>(i) * 1.37e-3);
-  };
-  double serial = 0.0;
-  for (std::size_t i = 0; i < n; ++i) serial += transform(i);
-
-  for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    const double parallel = pool.parallel_transform_reduce(
-        n, 0.0, transform, [](double acc, double v) { return acc + v; });
-    EXPECT_EQ(parallel, serial) << "threads=" << threads;  // exact, not NEAR
-  }
-}
-
-TEST(ThreadPool, OrderedReductionPreservesSequenceOrder) {
-  ThreadPool pool(4);
-  const auto order = pool.parallel_transform_reduce(
-      100, std::vector<std::size_t>{},
-      [](std::size_t i) { return std::vector<std::size_t>{i}; },
-      [](std::vector<std::size_t> acc, std::vector<std::size_t> v) {
-        acc.insert(acc.end(), v.begin(), v.end());
-        return acc;
-      });
-  ASSERT_EQ(order.size(), 100u);
-  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPool, LowestFailingChunkWinsTheRethrow) {

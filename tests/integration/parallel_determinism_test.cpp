@@ -2,8 +2,8 @@
 // with ExperimentConfig::threads > 1 must produce byte-identical results to
 // the serial run — every I/O time, trace record, deterministic metric and
 // fault-recovery counter — across every scenario, including a crash-fault
-// run where recovery traffic, re-planning and aborted reads all ride the
-// pooled simulator.
+// run whose re-plans run on the pooled Dinic. Only the planner borrows the
+// pool; simulation and execution are serial at every thread count.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -88,9 +88,9 @@ TEST(ParallelDeterminism, MultiDataRunMatchesSerialBytes) {
 }
 
 TEST(ParallelDeterminism, CrashFaultRunMatchesSerialBytes) {
-  // The hardest path: a mid-run crash aborts pooled in-flight reads, the
-  // dynamic scheduler re-plans on the pooled Dinic, and re-replication
-  // traffic re-levels through the pooled simulator.
+  // The hardest path: a mid-run crash aborts in-flight reads, the dynamic
+  // scheduler re-plans on the pooled Dinic, and re-replication traffic
+  // competes with the remaining reads.
   sim::FaultPlan plan;
   sim::FaultEvent crash;
   crash.at = 2.0;

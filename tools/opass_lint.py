@@ -69,6 +69,12 @@ Rules (all scoped to src/ unless noted):
                     are InlineVec-backed (common/inline_vec.hpp). A
                     std::vector member under one of those names puts a heap
                     block and a pointer chase back on every read.
+  serial-event-loop (scoped to src/sim/ and src/runtime/) No
+                    common/thread_pool.hpp include and no ThreadPool: the
+                    simulator and the executor run one serial event loop per
+                    run. Per-event work there is too small to amortise a pool
+                    barrier (measured 2-3x slower at 4 lanes), so only the
+                    planner borrows the pool (DESIGN.md §12).
   pq-top-copy       No by-value initialization from `.top()`:
                     `auto fn = q.top();` (or a `std::function<...>` copy of
                     `.top().fn`) deep-copies the element — and since
@@ -169,6 +175,12 @@ HOT_STORAGE = {
     "src/runtime/task.hpp": "inputs",
     "src/sim/flow_sim.hpp": "resources",
 }
+# serial-event-loop: the modules that must stay off the worker pool, and the
+# two spellings that would put them on it (the include is matched with string
+# contents kept, the type name with comments and strings blanked).
+SERIAL_SCOPE = ("src/sim/", "src/runtime/")
+POOL_INCLUDE = re.compile(r'#\s*include\s+"common/thread_pool\.hpp"')
+POOL_TYPE = re.compile(r"\bThreadPool\b")
 # Where obs-number-format applies: the sink renderers and the service-trace
 # replay rendering.
 NUMBER_FORMAT_SCOPE = ("src/obs/", "src/exp/service_trace.cpp")
@@ -339,6 +351,20 @@ def check_no_raw_thread(path: pathlib.Path, root: pathlib.Path, text: str, findi
                     "-Wthread-safety and the determinism contract"))
 
 
+def check_serial_event_loop(path: pathlib.Path, root: pathlib.Path, text: str,
+                            findings: list):
+    if not path.relative_to(root).as_posix().startswith(SERIAL_SCOPE):
+        return
+    hits = [m.start() for m in POOL_INCLUDE.finditer(scrub(text, keep_strings=True))]
+    hits += [m.start() for m in POOL_TYPE.finditer(scrub(text))]
+    for offset in sorted(hits):
+        findings.append(
+            Finding(path, _line_of(text, offset), "serial-event-loop",
+                    "the simulator and executor are serial event loops — "
+                    "per-event work is too small to pay for a pool barrier; "
+                    "only the planner borrows common/thread_pool"))
+
+
 def check_facade_only(path: pathlib.Path, root: pathlib.Path, text: str, findings: list):
     rel = path.relative_to(root).as_posix()
     if rel.startswith("src/opass/"):
@@ -388,6 +414,7 @@ def lint_tree(root: pathlib.Path) -> list:
         check_pq_top_copy(path, text, findings)
         check_inline_hot_storage(path, root, text, findings)
         check_no_raw_thread(path, root, text, findings)
+        check_serial_event_loop(path, root, text, findings)
         check_facade_only(path, root, text, findings)
         check_obs_number_format(path, root, text, findings)
     # bench/ and examples/ consume the planner API, so only the API-usage
@@ -464,6 +491,11 @@ _VIOLATIONS = {
         "dfs/types.hpp",
         "#pragma once\n#include <vector>\n"
         "struct ChunkInfo {\n  unsigned id = 0;\n  std::vector<unsigned> replicas;\n};\n",
+    ),
+    "serial-event-loop": (
+        "runtime/bad_pooled_wave.cpp",
+        '#include "common/thread_pool.hpp"\n'
+        "void issue_wave(opass::ThreadPool& pool);\n",
     ),
     "pq-top-copy": (
         "bad_top_copy.cpp",
@@ -572,6 +604,14 @@ _CLEANS = (
         "struct Flow { ResourcePath resources; };\n"
         "struct Resource { std::vector<unsigned> flows; };\n"
         "void start(const std::vector<unsigned> resources, int bytes);\n",
+    ),
+    (
+        # serial-event-loop scans code, not prose: a comment naming the pool
+        # and a "ThreadPool" string literal in src/sim/ stay clean.
+        "sim/clean_serial_loop.cpp",
+        "#include <string>\n"
+        "// Serial by design: no ThreadPool and no common/thread_pool.hpp here.\n"
+        "const std::string kNote = \"ThreadPool\";\n",
     ),
     (
         # Reference bindings from .top() are the compliant spelling pq-top-copy
