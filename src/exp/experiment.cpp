@@ -105,9 +105,8 @@ runtime::Assignment opass_assignment(const ExperimentConfig& cfg, core::PlannerK
   return std::move(result.assignment);
 }
 
-/// Feed a finished execution to the config's observability sinks (no-op when
-/// none are set): metrics under "<method>.executor" / "<method>.cluster",
-/// and the raw trace + spans copied out for trace export.
+/// Feed a finished execution to the config's metrics registry (no-op when
+/// none is set), under "<method>.executor" / "<method>.cluster".
 void observe_run(const ExperimentConfig& cfg, Method method,
                  const runtime::ExecutionResult& exec, const sim::Cluster& cluster) {
   if (cfg.metrics != nullptr) {
@@ -115,7 +114,13 @@ void observe_run(const ExperimentConfig& cfg, Method method,
     obs::collect_execution(*cfg.metrics, exec, cfg.nodes, prefix + ".executor");
     obs::collect_cluster(*cfg.metrics, cluster, prefix + ".cluster");
   }
-  if (cfg.raw != nullptr) *cfg.raw = exec;
+}
+
+/// Hand the finished execution to the config's raw sink (no-op when none is
+/// set) for trace export. A scenario body calls it last, once nothing else
+/// reads the result, so the result moves instead of being copied.
+void keep_raw(const ExperimentConfig& cfg, runtime::ExecutionResult& exec) {
+  if (cfg.raw != nullptr) *cfg.raw = std::move(exec);
 }
 
 /// Append one finished execution's causal spans into the config's span sink
@@ -240,13 +245,15 @@ RunOutput simulate_planned(const ExperimentConfig& cfg, PlannedScenario& sc, Rng
   ec.probe = timeline.executor_probe();
   timeline.add_expected_bytes(runtime::total_task_bytes(sc.nn, sc.tasks));
   FaultHarness faults(cfg, cluster, sc.nn, fault_rng);
-  const auto exec = runtime::execute(cluster, sc.nn, sc.tasks, source, exec_rng, ec);
+  auto exec = runtime::execute(cluster, sc.nn, sc.tasks, source, exec_rng, ec);
   timeline.finish();
   faults.export_stats(cfg);
   pool.export_stats(cfg);
   observe_run(cfg, method, exec, cluster);
   observe_spans(cfg, exec, sc.tasks, cluster);
-  return reduce(sc.nn, sc.tasks, exec, sc.placement, &sc.assignment);
+  RunOutput out = reduce(sc.nn, sc.tasks, exec, sc.placement, &sc.assignment);
+  keep_raw(cfg, exec);
+  return out;
 }
 
 }  // namespace
@@ -289,13 +296,15 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
   if (method == Method::kBaseline) {
     runtime::MasterWorkerSource source(task_count, streams.assign, /*shuffle=*/true);
     FaultHarness faults(cfg, cluster, nn, streams.faults);
-    const auto exec = runtime::execute(cluster, nn, tasks, source, streams.exec, ec);
+    auto exec = runtime::execute(cluster, nn, tasks, source, streams.exec, ec);
     timeline.finish();
     faults.export_stats(cfg);
     pool.export_stats(cfg);
     observe_run(cfg, method, exec, cluster);
     observe_spans(cfg, exec, tasks, cluster);
-    return reduce(nn, tasks, exec, placement, nullptr);
+    RunOutput out = reduce(nn, tasks, exec, placement, nullptr);
+    keep_raw(cfg, exec);
+    return out;
   }
   // Opass: the matching-based guideline A*, consumed by the Section IV-D
   // master (own list first, then best-co-located steal from longest list).
@@ -341,14 +350,15 @@ RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Met
           source.adopt_guideline(mapped);
         });
   }
-  const auto exec = runtime::execute(cluster, nn, tasks, source, streams.exec, ec);
+  auto exec = runtime::execute(cluster, nn, tasks, source, streams.exec, ec);
   timeline.finish();
   faults.export_stats(cfg);
   pool.export_stats(cfg);
   observe_run(cfg, method, exec, cluster);
   observe_spans(cfg, exec, tasks, cluster);
   if (cfg.metrics != nullptr) obs::collect_dynamic(*cfg.metrics, source, "opass.dynamic");
-  auto out = reduce(nn, tasks, exec, placement, &guideline);
+  RunOutput out = reduce(nn, tasks, exec, placement, &guideline);
+  keep_raw(cfg, exec);
   return out;
 }
 
@@ -432,6 +442,7 @@ ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
   out.run.planned_local_fraction =
       planned_total ? static_cast<double>(planned_local) / static_cast<double>(planned_total)
                     : 0.0;
+  keep_raw(cfg, agg);
   return out;
 }
 
@@ -494,6 +505,7 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
   out.run.tasks_executed = static_cast<std::uint32_t>(agg.trace.size());
   out.run.planned_local_fraction =
       core::evaluate_assignment(nn, tasks, assignment, placement).local_fraction();
+  keep_raw(cfg, agg);
   return out;
 }
 

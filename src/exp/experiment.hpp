@@ -72,8 +72,8 @@ struct ExperimentConfig {
   /// collectors, prefixed with the method name ("baseline." / "opass.") so
   /// a comparison run fits in one registry. When `raw` is set, the full
   /// execution result (trace + task spans, aggregated across steps/epochs
-  /// for the multi-phase scenarios) is copied out — the input the Chrome
-  /// trace exporter (obs/chrome_trace.hpp) wants.
+  /// for the multi-phase scenarios) is moved out once the run is reduced —
+  /// the input the Chrome trace exporter (obs/chrome_trace.hpp) wants.
   obs::MetricsRegistry* metrics = nullptr;
   runtime::ExecutionResult* raw = nullptr;
   /// When set, the run records every read's causal breakdown (admission

@@ -1,6 +1,7 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <tuple>
 
 #include "common/require.hpp"
@@ -64,13 +65,13 @@ void AttributionTotals::add_slice(const AttrSlice& slice) {
     node_ticks[slice.node] += slice.duration_ticks();
 }
 
-void AttributionTotals::add_span(const Span& span) {
+void AttributionTotals::add_span(const Span& span, std::span<const AttrSlice> breakdown) {
   total_ticks += span.duration_ticks();
-  if (span.breakdown.empty()) {
+  if (breakdown.empty()) {
     kind_ticks[static_cast<std::size_t>(AttrKind::kOther)] += span.duration_ticks();
     return;
   }
-  for (const AttrSlice& s : span.breakdown) add_slice(s);
+  for (const AttrSlice& s : breakdown) add_slice(s);
 }
 
 AttributionTotals attribute_spans(const SpanLog& log, std::uint32_t node_count) {
@@ -79,7 +80,7 @@ AttributionTotals attribute_spans(const SpanLog& log, std::uint32_t node_count) 
   // Top-level spans only: a read span's slices already appear inside its
   // parent task's tiling, so counting children would double-charge.
   for (const Span& s : log.spans())
-    if (s.parent == kNoSpan) totals.add_span(s);
+    if (s.parent == kNoSpan) totals.add_span(s, log.breakdown(s));
   return totals;
 }
 
@@ -182,7 +183,7 @@ CriticalPath critical_path(const SpanLog& log, std::uint32_t node_count) {
 
   for (const CriticalPath::Step& step : cp.steps) {
     if (step.span != kNoSpan) {
-      cp.blame.add_span(spans[step.span]);
+      cp.blame.add_span(spans[step.span], log.breakdown(spans[step.span]));
     } else {
       cp.blame.total_ticks += step.end_ticks - step.start_ticks;
       cp.blame.kind_ticks[static_cast<std::size_t>(AttrKind::kOther)] +=
@@ -222,7 +223,7 @@ std::string SpanDocBuilder::spans_json() const {
   for (const Method& m : methods_) {
     bound += kMaxMethodBytes + m.name.size() + m.totals.node_ticks.size() * kMaxNodeEntryBytes;
     for (const Span& s : m.log->spans())
-      bound += kMaxSpanBytes + s.name.size() + s.breakdown.size() * kMaxSliceBytes;
+      bound += kMaxSpanBytes + std::strlen(s.name) + s.slice_count * kMaxSliceBytes;
   }
   std::string out;
   out.reserve(bound);
@@ -267,9 +268,10 @@ std::string SpanDocBuilder::spans_json() const {
       out += ", \"end_ticks\": ";
       append_i64(out, s.end_ticks);
       out += ", \"breakdown\": [";
-      for (std::size_t bi = 0; bi < s.breakdown.size(); ++bi) {
-        const AttrSlice& b = s.breakdown[bi];
-        out += bi ? ", {\"kind\": \"" : "{\"kind\": \"";
+      bool first_slice = true;
+      for (const AttrSlice& b : m.log->breakdown(s)) {
+        out += first_slice ? "{\"kind\": \"" : ", {\"kind\": \"";
+        first_slice = false;
         out += attr_kind_name(b.kind);
         out += "\", \"node\": ";
         append_i64(out, signed_id(b.node));

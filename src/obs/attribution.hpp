@@ -42,7 +42,8 @@ struct AttributionTotals {
   std::int64_t total_ticks = 0;          ///< sum of attributed span durations
 
   void add_slice(const AttrSlice& slice);
-  void add_span(const Span& span);  ///< slices, or kOther when untiled
+  /// `span`'s breakdown slices, or its whole duration as kOther when untiled.
+  void add_span(const Span& span, std::span<const AttrSlice> breakdown);
 };
 
 /// Sum the breakdowns of every *top-level* span (parent == kNoSpan) in `log`.

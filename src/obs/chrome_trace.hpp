@@ -17,8 +17,13 @@
 // trace, the same contract as the metric sinks.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,19 +77,35 @@ class ChromeTraceBuilder {
   std::string json() const;
 
  private:
+  /// What a stored event renders as; reads and tasks are both "X" events.
+  enum class Kind : std::uint8_t { kRead, kTask, kCounter, kInstant, kFlowStart, kFlowEnd };
+
+  /// One stored event: a fixed-size record, no per-event heap. Read and task
+  /// names and args are rendered from the numeric fields by json(); counter
+  /// and instant names and instant categories are interned in `strings_`.
   struct Event {
-    double ts_us = 0;   ///< issue time in trace microseconds
-    double dur_us = 0;  ///< duration in trace microseconds (>= 0; "X" only)
+    double ts_us = 0;      ///< issue time in trace microseconds
+    double value = 0;      ///< "X": duration in trace µs (>= 0); "C": the sample
+    std::uint64_t id = 0;  ///< read: chunk; task: task id; flow: binding id
+    Bytes bytes = 0;       ///< read payload
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
-    char ph = 'X';  ///< "X" duration, "C" counter, "i" instant, "s"/"f" flow
-    std::string name;
-    const char* cat = "";
-    std::string args_json;   ///< rendered {...} args object, may be empty
-    std::uint64_t flow_id = 0;  ///< binding id for "s"/"f" events
+    std::uint32_t server = 0;  ///< read: serving node
+    std::uint32_t name = 0;    ///< counter / instant: index into strings_
+    std::uint32_t cat = 0;     ///< instant: index into strings_
+    Kind kind = Kind::kRead;
+    bool local = false;        ///< read: served from the reader's node
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
+
+  /// Index of `s` in strings_, appending it on first sight.
+  std::uint32_t intern(std::string_view s);
+  /// The event's rendered name; reads and tasks format into `buf`.
+  std::string_view name_of(const Event& e, std::array<char, 32>& buf) const;
 
   std::vector<Event> events_;
+  std::vector<std::string> strings_;
+  std::map<std::string, std::uint32_t, std::less<>> string_ids_;
   std::vector<std::pair<std::uint32_t, std::string>> process_names_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/require.hpp"
 
@@ -36,7 +37,7 @@ const char* attr_kind_name(AttrKind kind) {
   return "?";
 }
 
-bool valid_span_name(const std::string& name) {
+bool valid_span_name(std::string_view name) {
   std::size_t segments = 0;
   std::size_t seg_len = 0;
   for (char c : name) {
@@ -55,18 +56,23 @@ bool valid_span_name(const std::string& name) {
   return segments == 2;  // exactly three segments: layer.noun.verb
 }
 
-std::uint32_t SpanLog::add(Span span) {
-  OPASS_REQUIRE(valid_span_name(span.name),
+std::uint32_t SpanLog::add(Span span, std::span<const AttrSlice> breakdown) {
+  // A breakdown inside the arena is an earlier span's slices: referenced,
+  // not copied.
+  const std::less_equal<const AttrSlice*> le;
+  const bool in_arena = !breakdown.empty() && le(slices_.data(), breakdown.data()) &&
+                        le(breakdown.data() + breakdown.size(), slices_.data() + slices_.size());
+  OPASS_REQUIRE(span.name != nullptr && valid_span_name(span.name),
                 "span name must be layer.noun.verb ([a-z0-9_], 3 segments)");
   OPASS_REQUIRE(span.end_ticks >= span.start_ticks, "span must not end before it starts");
   OPASS_REQUIRE(span.parent == kNoSpan || span.parent < spans_.size(),
                 "span parent must be a previously added span");
-  if (!span.breakdown.empty()) {
+  if (!breakdown.empty()) {
     // The reconciliation invariant: slices chain gap-free from the span's
     // start to its end, so their integer durations telescope exactly to the
     // span duration. This is what makes attribution sums trustworthy.
     std::int64_t cursor = span.start_ticks;
-    for (const AttrSlice& s : span.breakdown) {
+    for (const AttrSlice& s : breakdown) {
       OPASS_REQUIRE(s.start_ticks == cursor, "breakdown slices must chain gap-free");
       OPASS_REQUIRE(s.end_ticks >= s.start_ticks, "breakdown slice must not be negative");
       cursor = s.end_ticks;
@@ -74,15 +80,32 @@ std::uint32_t SpanLog::add(Span span) {
     OPASS_REQUIRE(cursor == span.end_ticks,
                   "breakdown must close exactly at the span end");
   }
+  OPASS_REQUIRE(slices_.size() + breakdown.size() <= UINT32_MAX,
+                "span log slice arena is full");
   span.id = static_cast<std::uint32_t>(spans_.size());
+  span.slice_count = static_cast<std::uint32_t>(breakdown.size());
+  if (in_arena) {
+    span.slice_begin = static_cast<std::uint32_t>(breakdown.data() - slices_.data());
+  } else {
+    span.slice_begin = static_cast<std::uint32_t>(slices_.size());
+    slices_.insert(slices_.end(), breakdown.begin(), breakdown.end());
+  }
   max_end_ticks_ = std::max(max_end_ticks_, span.end_ticks);
-  spans_.push_back(std::move(span));
-  return spans_.back().id;
+  spans_.push_back(span);
+  return span.id;
+}
+
+void SpanLog::reserve(std::size_t spans, std::size_t slices) {
+  // At least doubling, so a log filled step by step (ParaView steps,
+  // iterative epochs) is not copied whole on every step.
+  const auto grow = [](auto& v, std::size_t more) {
+    if (v.capacity() - v.size() < more) v.reserve(std::max(v.size() + more, 2 * v.capacity()));
+  };
+  grow(spans_, spans);
+  grow(slices_, slices);
 }
 
 namespace {
-
-constexpr std::int64_t kNoBreakdown = -1;
 
 /// Append a slice, merging into the previous one when kind and blamed node
 /// match (water-filling can re-pin the same constraint across re-levels).
@@ -148,26 +171,34 @@ AttrSlice classify_interval(const sim::BindingInterval& bi, const sim::Cluster& 
   return s;
 }
 
-/// Exact tiling of one read span [issue, end]: admission wait, positioning,
-/// then the transfer's classified binding intervals. Defensive kOther gap
-/// fill keeps the tiling invariant even for degenerate inputs (zero-byte
-/// transfers have no intervals at all).
-std::vector<AttrSlice> read_slices(const sim::ReadBreakdown& rb, const sim::Cluster& cluster,
-                                   dfs::NodeId server) {
-  std::vector<AttrSlice> slices;
-  push_slice(slices, AttrKind::kQueueWait, server, rb.issue_ticks, rb.admit_ticks);
-  push_slice(slices, AttrKind::kSeek, server, rb.admit_ticks, rb.transfer_start_ticks);
+/// Append the exact tiling of one read span [issue, end] to `slices`:
+/// admission wait, positioning, then the transfer's classified binding
+/// intervals. Defensive kOther gap fill keeps the tiling invariant even for
+/// degenerate inputs (zero-byte transfers have no intervals at all).
+void append_read_slices(std::vector<AttrSlice>& slices, const sim::ReadBreakdown& rb,
+                        const sim::Cluster& cluster, dfs::NodeId server) {
+  const std::size_t first = slices.size();
+  // push_slice merges into the previous slice; the read's first slice must
+  // not merge into the preceding read's last one.
+  const auto push = [&](AttrKind kind, dfs::NodeId node, std::int64_t start,
+                        std::int64_t end) {
+    if (slices.size() == first) {
+      if (end > start) slices.push_back({kind, node, start, end});
+    } else {
+      push_slice(slices, kind, node, start, end);
+    }
+  };
+  push(AttrKind::kQueueWait, server, rb.issue_ticks, rb.admit_ticks);
+  push(AttrKind::kSeek, server, rb.admit_ticks, rb.transfer_start_ticks);
   std::int64_t cursor = rb.transfer_start_ticks;
   for (const sim::BindingInterval& bi : rb.transfer) {
     if (bi.start_ticks > cursor)
-      push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, bi.start_ticks);
+      push(AttrKind::kOther, dfs::kInvalidNode, cursor, bi.start_ticks);
     const AttrSlice c = classify_interval(bi, cluster, server);
-    push_slice(slices, c.kind, c.node, c.start_ticks, c.end_ticks);
+    push(c.kind, c.node, c.start_ticks, c.end_ticks);
     cursor = std::max(cursor, bi.end_ticks);
   }
-  if (rb.end_ticks > cursor)
-    push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, rb.end_ticks);
-  return slices;
+  if (rb.end_ticks > cursor) push(AttrKind::kOther, dfs::kInvalidNode, cursor, rb.end_ticks);
 }
 
 std::int64_t compute_ticks_of(const runtime::Task& task) {
@@ -182,16 +213,25 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
   const auto& records = exec.trace.records();
   const bool have_breakdowns = exec.read_breakdowns.size() == records.size();
 
-  // Group read records under their task (ReadRecord::task), each task's
-  // reads ordered by issue time (completion order equals issue order for the
-  // sequential per-task reads; the sort makes it explicit).
-  std::vector<std::vector<std::uint32_t>> task_reads(tasks.size());
-  for (std::uint32_t i = 0; i < records.size(); ++i)
-    if (records[i].task < task_reads.size()) task_reads[records[i].task].push_back(i);
-  for (auto& reads : task_reads)
-    std::stable_sort(reads.begin(), reads.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return records[a].issue_time < records[b].issue_time;
-    });
+  // Group read records under their task (ReadRecord::task): task t's reads
+  // are read_ids[read_begin[t], read_begin[t + 1]), ordered by issue time
+  // (completion order equals issue order for the sequential per-task reads;
+  // the sort makes it explicit).
+  std::vector<std::uint32_t> read_begin(tasks.size() + 1, 0);
+  for (const sim::ReadRecord& r : records)
+    if (r.task < tasks.size()) ++read_begin[r.task + 1];
+  for (std::size_t t = 0; t < tasks.size(); ++t) read_begin[t + 1] += read_begin[t];
+  std::vector<std::uint32_t> read_ids(read_begin.back());
+  {
+    std::vector<std::uint32_t> next(read_begin.begin(), read_begin.end() - 1);
+    for (std::uint32_t i = 0; i < records.size(); ++i)
+      if (records[i].task < tasks.size()) read_ids[next[records[i].task]++] = i;
+  }
+  for (std::size_t t = 0; t < tasks.size(); ++t)
+    std::stable_sort(read_ids.begin() + read_begin[t], read_ids.begin() + read_begin[t + 1],
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return records[a].issue_time < records[b].issue_time;
+                     });
 
   // Task spans per process, in start order (completion order interleaves
   // processes; spans of one process are disjoint except under prefetch).
@@ -203,6 +243,33 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
                      return a.end < b.end;
                    });
 
+  const auto reads_of = [&](const runtime::TaskSpan& ts) {
+    if (ts.task >= tasks.size()) return std::span<const std::uint32_t>();
+    return std::span<const std::uint32_t>(read_ids.data() + read_begin[ts.task],
+                                          read_begin[ts.task + 1] - read_begin[ts.task]);
+  };
+
+  // Size the log once from the known counts: at most one wait span per task
+  // span, and per read at most queue, seek and trailing slices plus two per
+  // binding interval (the interval and a gap before it), stored for the read
+  // and again in its task's tiling with a gap before it; each task adds at
+  // most two compute slices and its wait span one.
+  std::size_t slice_bound = 3 * ordered.size();
+  if (have_breakdowns) {
+    for (const sim::ReadBreakdown& rb : exec.read_breakdowns)
+      slice_bound += 2 * (3 + 2 * rb.transfer.size()) + 1;
+  } else {
+    slice_bound += 2 * records.size();
+  }
+  log.reserve(2 * ordered.size() + records.size(), slice_bound);
+
+  // Per-task scratch, reused across tasks: the task's reads' slices back to
+  // back (read k owns [read_ends[k-1], read_ends[k])), the task's tiling,
+  // and where in the tiling each read's slices were pushed.
+  std::vector<AttrSlice> read_buf;
+  std::vector<std::size_t> read_ends;
+  std::vector<AttrSlice> slices;
+  std::vector<std::size_t> read_at;
   for (std::size_t i = 0; i < ordered.size(); ++i) {
     const runtime::TaskSpan& ts = ordered[i];
     const dfs::NodeId node = static_cast<dfs::NodeId>(ts.process % cluster.node_count());
@@ -221,20 +288,34 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
         wait.node = node;
         wait.start_ticks = prev_end;
         wait.end_ticks = start;
-        wait.breakdown.push_back({AttrKind::kBarrier, dfs::kInvalidNode, prev_end, start});
-        log.add(std::move(wait));
+        const AttrSlice barrier{AttrKind::kBarrier, dfs::kInvalidNode, prev_end, start};
+        log.add(wait, {&barrier, 1});
       }
     }
+
+    const auto reads = reads_of(ts);
+    read_buf.clear();
+    read_ends.clear();
+    if (have_breakdowns)
+      for (std::uint32_t rec_idx : reads) {
+        append_read_slices(read_buf, exec.read_breakdowns[rec_idx], cluster,
+                           records[rec_idx].serving_node);
+        read_ends.push_back(read_buf.size());
+      }
+    const auto read_slices = [&](std::size_t k) {
+      const std::size_t begin = k == 0 ? 0 : read_ends[k - 1];
+      return std::span<const AttrSlice>(read_buf.data() + begin, read_ends[k] - begin);
+    };
 
     // Assemble the task's exact tiling from its reads' slices; abandoned
     // (single kOther slice) when reads overlap the span non-sequentially,
     // which is exactly the prefetch case.
-    static const std::vector<std::uint32_t> kNoReads;
-    const auto& reads = ts.task < task_reads.size() ? task_reads[ts.task] : kNoReads;
-    std::vector<AttrSlice> slices;
+    slices.clear();
+    read_at.clear();
     std::int64_t cursor = start;
     bool exact = true;
-    for (std::uint32_t rec_idx : reads) {
+    for (std::size_t k = 0; k < reads.size(); ++k) {
+      const std::uint32_t rec_idx = reads[k];
       const sim::ReadRecord& rec = records[rec_idx];
       const std::int64_t r_start = have_breakdowns
                                        ? exec.read_breakdowns[rec_idx].issue_ticks
@@ -247,9 +328,9 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
       }
       if (r_start > cursor)
         push_slice(slices, AttrKind::kOther, dfs::kInvalidNode, cursor, r_start);
+      read_at.push_back(slices.size());
       if (have_breakdowns) {
-        for (const AttrSlice& s : read_slices(exec.read_breakdowns[rec_idx], cluster,
-                                              rec.serving_node))
+        for (const AttrSlice& s : read_slices(k))
           push_slice(slices, s.kind, s.node, s.start_ticks, s.end_ticks);
       } else {
         push_slice(slices, AttrKind::kOther, rec.serving_node, r_start, r_end);
@@ -284,11 +365,19 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
     task_span.node = node;
     task_span.start_ticks = start;
     task_span.end_ticks = end;
-    task_span.breakdown = std::move(slices);
-    const std::uint32_t task_id = log.add(std::move(task_span));
+    const std::uint32_t task_id = log.add(task_span, slices);
+    // A read's slices usually reappear verbatim in its task's tiling (none
+    // merged with a neighbour's); the read span then shares them.
+    const auto shared_slices = [&](std::size_t k) {
+      const auto own = read_slices(k);
+      const auto tiling = log.breakdown(log.spans()[task_id]);
+      if (!exact || read_at[k] + own.size() > tiling.size()) return own;
+      const auto at = tiling.subspan(read_at[k], own.size());
+      return std::equal(own.begin(), own.end(), at.begin()) ? at : own;
+    };
 
-    for (std::uint32_t rec_idx : reads) {
-      const sim::ReadRecord& rec = records[rec_idx];
+    for (std::size_t k = 0; k < reads.size(); ++k) {
+      const sim::ReadRecord& rec = records[reads[k]];
       Span read;
       read.parent = task_id;
       read.kind = SpanKind::kRead;
@@ -300,15 +389,15 @@ void append_execution_spans(SpanLog& log, const runtime::ExecutionResult& exec,
       read.chunk = rec.chunk;
       read.bytes = rec.bytes;
       if (have_breakdowns) {
-        const sim::ReadBreakdown& rb = exec.read_breakdowns[rec_idx];
+        const sim::ReadBreakdown& rb = exec.read_breakdowns[reads[k]];
         read.start_ticks = rb.issue_ticks;
         read.end_ticks = rb.end_ticks;
-        read.breakdown = read_slices(rb, cluster, rec.serving_node);
+        log.add(read, shared_slices(k));
       } else {
         read.start_ticks = sim::to_ticks(rec.issue_time);
         read.end_ticks = sim::to_ticks(rec.end_time);
+        log.add(read);
       }
-      log.add(std::move(read));
     }
   }
 }
@@ -326,9 +415,9 @@ void append_service_spans(SpanLog& log, const std::vector<core::JobStatus>& stat
     queue.task = static_cast<std::uint32_t>(s.id);
     queue.start_ticks = arrival;
     queue.end_ticks = planned;
-    if (planned > arrival)
-      queue.breakdown.push_back({AttrKind::kQueueWait, dfs::kInvalidNode, arrival, planned});
-    log.add(std::move(queue));
+    const AttrSlice wait{AttrKind::kQueueWait, dfs::kInvalidNode, arrival, planned};
+    log.add(queue, planned > arrival ? std::span<const AttrSlice>(&wait, 1)
+                                     : std::span<const AttrSlice>());
 
     Span plan;
     plan.kind = SpanKind::kPlan;
@@ -337,7 +426,7 @@ void append_service_spans(SpanLog& log, const std::vector<core::JobStatus>& stat
     plan.task = static_cast<std::uint32_t>(s.id);
     plan.start_ticks = planned;
     plan.end_ticks = planned;
-    log.add(std::move(plan));
+    log.add(plan);
   }
 }
 

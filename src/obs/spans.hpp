@@ -18,9 +18,10 @@
 // byte-identically too.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <string>
+#include <span>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "opass/planner.hpp"
@@ -69,46 +70,67 @@ struct AttrSlice {
   std::int64_t end_ticks = 0;
 
   std::int64_t duration_ticks() const { return end_ticks - start_ticks; }
+  bool operator==(const AttrSlice&) const = default;
 };
 
-/// One span. Names follow the repo's layer.noun.verb taxonomy (exactly three
-/// [a-z0-9_] segments, e.g. exec.task.run — the span-name lint rule).
+/// One span: a fixed-size record. Names follow the repo's layer.noun.verb
+/// taxonomy (exactly three [a-z0-9_] segments, e.g. exec.task.run — the
+/// span-name lint rule) and point at string literals, so a span holds no
+/// heap; its breakdown lives in the owning SpanLog's slice arena.
 struct Span {
   std::uint32_t id = kNoSpan;      ///< assigned by SpanLog::add
   std::uint32_t parent = kNoSpan;  ///< enclosing span (reads nest in tasks)
-  SpanKind kind = SpanKind::kTask;
-  std::string name;
+  const char* name = "";           ///< static taxonomy literal
   /// Executor process rank for exec spans; tenant id for service spans.
   std::uint32_t process = 0;
   std::uint32_t task = kNoTask;  ///< runtime::TaskId / core::JobId
   dfs::NodeId node = dfs::kInvalidNode;    ///< node the span ran on (reader)
   dfs::NodeId server = dfs::kInvalidNode;  ///< read spans: serving node
   std::uint32_t chunk = UINT32_MAX;        ///< read spans: chunk id
+  SpanKind kind = SpanKind::kTask;
   Bytes bytes = 0;                         ///< read spans: payload
   std::int64_t start_ticks = 0;
   std::int64_t end_ticks = 0;
-  /// When non-empty: an exact tiling of [start_ticks, end_ticks] — chained,
-  /// gap-free, verified on add().
-  std::vector<AttrSlice> breakdown;
+  /// The breakdown's slices in the log's arena, set by SpanLog::add (spans
+  /// may share a range). When non-empty they are an exact tiling of
+  /// [start_ticks, end_ticks] — chained, gap-free, verified on add().
+  std::uint32_t slice_begin = 0;
+  std::uint32_t slice_count = 0;
 
   std::int64_t duration_ticks() const { return end_ticks - start_ticks; }
 };
+static_assert(std::is_trivially_copyable_v<Span>);
+static_assert(std::is_trivially_copyable_v<AttrSlice>);
 
 /// True for exactly three dot-separated segments of [a-z0-9_]+, each
 /// starting with a letter (the layer.noun.verb taxonomy).
-bool valid_span_name(const std::string& name);
+bool valid_span_name(std::string_view name);
 
-/// Append-only log of spans, in deterministic build order. add() enforces
-/// the naming taxonomy and the breakdown reconciliation invariant, so a
-/// SpanLog can never hold a slice set that fails to sum to its span.
+/// Append-only log of spans, in deterministic build order, with every
+/// span's breakdown slices in one log-wide arena. add() enforces the naming
+/// taxonomy and the breakdown reconciliation invariant, so a SpanLog can
+/// never hold a slice set that fails to sum to its span.
 class SpanLog {
  public:
-  /// Validate and append; returns the span's id.
-  std::uint32_t add(Span span);
+  /// Validate `span` with its `breakdown` (empty: untiled) and append both;
+  /// returns the span's id. The span's own slice fields are ignored. A
+  /// breakdown that already lies in the arena (a sub-span of an earlier
+  /// span's breakdown()) is shared, not copied: that is how a read span
+  /// points into its task's tiling.
+  std::uint32_t add(Span span, std::span<const AttrSlice> breakdown = {});
+
+  /// Room for `spans` more spans and `slices` more slices without regrowth.
+  /// Grows at least geometrically, so per-step calls stay amortized.
+  void reserve(std::size_t spans, std::size_t slices);
 
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t size() const { return spans_.size(); }
   bool empty() const { return spans_.empty(); }
+
+  /// The breakdown slices of `span`, a span of this log.
+  std::span<const AttrSlice> breakdown(const Span& span) const {
+    return {slices_.data() + span.slice_begin, span.slice_count};
+  }
 
   /// Latest end tick across all spans (0 when empty) — the makespan once
   /// execution spans are appended.
@@ -121,6 +143,7 @@ class SpanLog {
 
  private:
   std::vector<Span> spans_;
+  std::vector<AttrSlice> slices_;
   std::int64_t max_end_ticks_ = 0;
 };
 

@@ -108,13 +108,17 @@ void FlowSimulator::stash_attribution(std::uint32_t slot) {
   while (!f.attr.empty() && f.attr.back().start_ticks >= t) f.attr.pop_back();
   if (!f.attr.empty()) f.attr.back().end_ticks = t;
   const FlowId id = (static_cast<FlowId>(static_cast<std::uint32_t>(f.seq)) << 32) | slot;
+  if (finished_at_.size() <= slot) finished_at_.resize(flows_.size(), 0);
+  finished_at_[slot] = static_cast<std::uint32_t>(finished_attr_.size());
   finished_attr_.emplace_back(id, std::move(f.attr));
 }
 
 const std::vector<BindingInterval>* FlowSimulator::completed_attribution(FlowId id) const {
-  for (const auto& [fid, intervals] : finished_attr_)
-    if (fid == id) return &intervals;
-  return nullptr;
+  const std::uint32_t slot = slot_of(id);
+  if (slot >= finished_at_.size()) return nullptr;
+  const std::uint32_t at = finished_at_[slot];
+  if (at >= finished_attr_.size() || finished_attr_[at].first != id) return nullptr;
+  return &finished_attr_[at].second;
 }
 
 void FlowSimulator::set_rate(std::uint32_t slot, double rate, ResourceId binding) {

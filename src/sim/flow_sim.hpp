@@ -311,9 +311,13 @@ class FlowSimulator {
   // Attribution recording (record_attribution). finished_attr_ stashes the
   // interval lists of the flows completing at the current event step, keyed
   // by their full FlowId, for completion callbacks to pick up; it is dropped
-  // before the next event is processed.
+  // before the next event is processed. finished_at_[slot] is the stash
+  // position of the slot's last completion — stale once the stash is
+  // dropped, which the FlowId check catches — so a lookup is O(1) however
+  // many flows complete at one instant.
   bool record_attr_ = false;
   std::vector<std::pair<FlowId, std::vector<BindingInterval>>> finished_attr_;
+  std::vector<std::uint32_t> finished_at_;
 
   std::uint64_t rate_recomputes_ = 0;
   std::uint64_t rate_recompute_touched_ = 0;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.hpp"
 
@@ -119,6 +120,50 @@ TEST(ChromeTrace, CounterEventsRenderWithoutDurations) {
   EXPECT_NE(json.find("\"args\": {\"value\": 1.5}"), std::string::npos);
   EXPECT_THROW(builder.add_counter(0, "timeline.cluster.inflight", -1.0, 0),
                std::invalid_argument);
+}
+
+TEST(ChromeTrace, TiesBreakOnRenderedNamesNotIds) {
+  // Every event below shares ts 1 s, pid 0 and tid 0, so the rendered name
+  // alone orders them. Numeric chunk/task ids, event kinds and interned-name
+  // indices all disagree with that order somewhere.
+  runtime::ExecutionResult raw;
+  for (dfs::ChunkId chunk : {9u, 10u, 100u}) {
+    sim::ReadRecord r;
+    r.chunk = chunk;
+    r.bytes = 64;
+    r.issue_time = 1.0;
+    r.end_time = 2.0;
+    raw.trace.add(r);
+  }
+  raw.task_spans.push_back({/*process=*/0, /*task=*/2, /*start=*/1.0, /*end=*/3.0});
+  raw.task_spans.push_back({/*process=*/0, /*task=*/10, /*start=*/1.0, /*end=*/3.0});
+  ChromeTraceBuilder builder;
+  builder.add_counter(0, "zeta.counter", 1e6, 1);  // interned first
+  builder.add_execution(raw, 0);
+  builder.add_counter(0, "alpha.counter", 1e6, 2);
+  builder.add_flow_step(0, 0, 1e6, 's', 1);
+  builder.add_instant(0, "crash node 3", 1e6);
+  const std::string json = builder.json();
+
+  const std::vector<std::string> expected = {
+      "alpha.counter", "crash node 3", "critical_path", "read chunk 10", "read chunk 100",
+      "read chunk 9",  "task 10",      "task 2",        "zeta.counter"};
+  std::size_t last = 0;
+  for (const std::string& name : expected) {
+    const std::size_t at = json.find("{\"name\": \"" + name + "\"");
+    ASSERT_NE(at, std::string::npos) << name;
+    EXPECT_GT(at, last) << name << " is out of order";
+    last = at;
+  }
+}
+
+TEST(ChromeTrace, EqualEventsKeepAddOrder) {
+  // Two counter samples equal in (ts, pid, tid, name) render in add order.
+  ChromeTraceBuilder builder;
+  builder.add_counter(0, "c.series", 5.0, 1);
+  builder.add_counter(0, "c.series", 5.0, 2);
+  const std::string json = builder.json();
+  EXPECT_LT(json.find("{\"value\": 1}"), json.find("{\"value\": 2}"));
 }
 
 TEST(ChromeTrace, ConvenienceWrapperMatchesBuilder) {

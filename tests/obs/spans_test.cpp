@@ -66,6 +66,9 @@ TEST(SpanLog, AddRejectsTaxonomyAndOrderingViolations) {
   Span bad_name = make_span(0, 1);
   bad_name.name = "exec.task";
   EXPECT_THROW(log.add(bad_name), std::invalid_argument);
+  Span no_name = make_span(0, 1);
+  no_name.name = nullptr;
+  EXPECT_THROW(log.add(no_name), std::invalid_argument);
 
   EXPECT_THROW(log.add(make_span(5, 4)), std::invalid_argument);  // ends early
 
@@ -78,29 +81,86 @@ TEST(SpanLog, AddEnforcesTheReconciliationInvariant) {
   SpanLog log;
 
   // Gap between slices.
-  Span gapped = make_span(0, 10);
-  gapped.breakdown = {slice(AttrKind::kSeek, 0, 4), slice(AttrKind::kSrcDisk, 5, 10)};
-  EXPECT_THROW(log.add(gapped), std::invalid_argument);
+  const std::vector<AttrSlice> gapped = {slice(AttrKind::kSeek, 0, 4),
+                                         slice(AttrKind::kSrcDisk, 5, 10)};
+  EXPECT_THROW(log.add(make_span(0, 10), gapped), std::invalid_argument);
 
   // First slice opens after the span start.
-  Span late = make_span(0, 10);
-  late.breakdown = {slice(AttrKind::kSrcDisk, 1, 10)};
-  EXPECT_THROW(log.add(late), std::invalid_argument);
+  const std::vector<AttrSlice> late = {slice(AttrKind::kSrcDisk, 1, 10)};
+  EXPECT_THROW(log.add(make_span(0, 10), late), std::invalid_argument);
 
   // Last slice closes before the span end.
-  Span short_tail = make_span(0, 10);
-  short_tail.breakdown = {slice(AttrKind::kSrcDisk, 0, 9)};
-  EXPECT_THROW(log.add(short_tail), std::invalid_argument);
+  const std::vector<AttrSlice> short_tail = {slice(AttrKind::kSrcDisk, 0, 9)};
+  EXPECT_THROW(log.add(make_span(0, 10), short_tail), std::invalid_argument);
+
+  // Last slice runs past the span end.
+  const std::vector<AttrSlice> long_tail = {slice(AttrKind::kSrcDisk, 0, 11)};
+  EXPECT_THROW(log.add(make_span(0, 10), long_tail), std::invalid_argument);
+
+  // A negative slice, even one the chain would telescope through.
+  const std::vector<AttrSlice> negative = {slice(AttrKind::kSeek, 0, 6),
+                                           slice(AttrKind::kSrcDisk, 6, 4),
+                                           slice(AttrKind::kOther, 4, 10)};
+  EXPECT_THROW(log.add(make_span(0, 10), negative), std::invalid_argument);
+
+  // Rejected spans leave nothing behind: no span and no slice.
+  EXPECT_TRUE(log.empty());
 
   // An exact tiling is accepted; zero-width slices are legal joints.
-  Span exact = make_span(0, 10);
-  exact.breakdown = {slice(AttrKind::kQueueWait, 0, 2), slice(AttrKind::kSeek, 2, 2),
-                     slice(AttrKind::kSrcDisk, 2, 10, /*node=*/3)};
-  const auto id = log.add(exact);
+  const std::vector<AttrSlice> exact = {slice(AttrKind::kQueueWait, 0, 2),
+                                        slice(AttrKind::kSeek, 2, 2),
+                                        slice(AttrKind::kSrcDisk, 2, 10, /*node=*/3)};
+  const auto id = log.add(make_span(0, 10), exact);
   const Span& stored = log.spans()[id];
   std::int64_t sum = 0;
-  for (const AttrSlice& s : stored.breakdown) sum += s.duration_ticks();
+  for (const AttrSlice& s : log.breakdown(stored)) sum += s.duration_ticks();
   EXPECT_EQ(sum, stored.duration_ticks());
+}
+
+TEST(SpanLog, BreakdownRoundTripsThroughTheArena) {
+  SpanLog log;
+  log.reserve(4, 8);
+  const std::vector<AttrSlice> first = {slice(AttrKind::kSeek, 0, 3, /*node=*/1),
+                                        slice(AttrKind::kSrcDisk, 3, 10, /*node=*/1)};
+  const std::vector<AttrSlice> third = {slice(AttrKind::kQueueWait, 10, 12),
+                                        slice(AttrKind::kDstNic, 12, 15, /*node=*/2),
+                                        slice(AttrKind::kCompute, 15, 20)};
+  Span stale = make_span(10, 20);
+  stale.slice_begin = 99;  // the caller's slice fields are overwritten
+  stale.slice_count = 7;
+  const auto a = log.add(make_span(0, 10), first);
+  const auto b = log.add(make_span(5, 5));  // untiled
+  const auto c = log.add(stale, third);
+
+  const auto same = [](std::span<const AttrSlice> got, const std::vector<AttrSlice>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].kind, want[i].kind);
+      EXPECT_EQ(got[i].node, want[i].node);
+      EXPECT_EQ(got[i].start_ticks, want[i].start_ticks);
+      EXPECT_EQ(got[i].end_ticks, want[i].end_ticks);
+    }
+  };
+  same(log.breakdown(log.spans()[a]), first);
+  EXPECT_TRUE(log.breakdown(log.spans()[b]).empty());
+  same(log.breakdown(log.spans()[c]), third);
+  EXPECT_EQ(log.spans()[c].slice_begin, first.size());
+  EXPECT_EQ(log.spans()[c].slice_count, third.size());
+
+  // A copied span reads the same slices through the log.
+  const Span copy = log.spans()[a];
+  same(log.breakdown(copy), first);
+
+  // A breakdown taken from the arena is shared, not copied.
+  Span child = make_span(12, 15);
+  child.parent = c;
+  const auto d = log.add(child, log.breakdown(log.spans()[c]).subspan(1, 1));
+  EXPECT_EQ(log.breakdown(log.spans()[d]).data(), log.breakdown(log.spans()[c]).data() + 1);
+  same(log.breakdown(log.spans()[d]), {third[1]});
+  // Shared slices are still validated against the new span.
+  Span misfit = make_span(11, 15);
+  EXPECT_THROW(log.add(misfit, log.breakdown(log.spans()[c]).subspan(1, 1)),
+               std::invalid_argument);
 }
 
 // --- exec spans on a real execution ----------------------------------------
@@ -151,14 +211,14 @@ TEST_F(SpanFixture, ExecutionSpansReconcileExactly) {
     // Every breakdown telescopes to its span (SpanLog::add guarantees it;
     // assert anyway so a future bypass of add() cannot rot silently).
     std::int64_t sum = 0;
-    for (const AttrSlice& sl : s.breakdown) sum += sl.duration_ticks();
-    if (!s.breakdown.empty()) {
+    for (const AttrSlice& sl : log.breakdown(s)) sum += sl.duration_ticks();
+    if (!log.breakdown(s).empty()) {
       EXPECT_EQ(sum, s.duration_ticks());
     }
     if (s.kind == SpanKind::kTask) {
       ++task_spans;
       EXPECT_EQ(s.parent, kNoSpan);
-      EXPECT_FALSE(s.breakdown.empty());
+      EXPECT_FALSE(log.breakdown(s).empty());
     }
     if (s.kind == SpanKind::kRead) {
       ++read_spans;
@@ -175,9 +235,26 @@ TEST_F(SpanFixture, ExecutionSpansReconcileExactly) {
   for (const Span& s : log.spans()) {
     if (s.kind != SpanKind::kTask) continue;
     std::int64_t compute = 0;
-    for (const AttrSlice& sl : s.breakdown)
+    for (const AttrSlice& sl : log.breakdown(s))
       if (sl.kind == AttrKind::kCompute) compute += sl.duration_ticks();
     EXPECT_EQ(compute, sim::to_ticks(0.25));
+  }
+}
+
+TEST_F(SpanFixture, ReadSpansShareTheirTasksSlices) {
+  const auto tasks = make_tasks(8);
+  sim::Cluster cluster(4, params);
+  const auto exec = run(tasks, cluster, {});
+  SpanLog log;
+  append_execution_spans(log, exec, tasks, cluster);
+  // One read per task and no compute: each read's slices are its task's
+  // whole tiling, stored once.
+  for (const Span& s : log.spans()) {
+    if (s.kind != SpanKind::kRead) continue;
+    const Span& task = log.spans()[s.parent];
+    EXPECT_EQ(s.slice_begin, task.slice_begin);
+    EXPECT_EQ(s.slice_count, task.slice_count);
+    EXPECT_GT(s.slice_count, 0u);
   }
 }
 
@@ -194,8 +271,8 @@ TEST_F(SpanFixture, BarrierRunsEmitWaitSpans) {
   std::int64_t barrier_ticks = 0;
   for (const Span& s : log.spans()) {
     if (s.kind != SpanKind::kWait) continue;
-    EXPECT_EQ(s.name, "exec.wave.wait");
-    for (const AttrSlice& sl : s.breakdown)
+    EXPECT_STREQ(s.name, "exec.wave.wait");
+    for (const AttrSlice& sl : log.breakdown(s))
       if (sl.kind == AttrKind::kBarrier) barrier_ticks += sl.duration_ticks();
   }
   EXPECT_GT(barrier_ticks, 0);
@@ -288,9 +365,9 @@ TEST(ServiceSpans, PlannedJobsGetQueueAndPlanSpans) {
   for (const Span& s : log.spans()) {
     if (s.kind == SpanKind::kQueue) {
       ++queue;
-      EXPECT_EQ(s.name, "svc.job.queue");
-      ASSERT_EQ(s.breakdown.size(), 1u);
-      EXPECT_EQ(s.breakdown[0].kind, AttrKind::kQueueWait);
+      EXPECT_STREQ(s.name, "svc.job.queue");
+      ASSERT_EQ(log.breakdown(s).size(), 1u);
+      EXPECT_EQ(log.breakdown(s)[0].kind, AttrKind::kQueueWait);
     }
     if (s.kind == SpanKind::kPlan) {
       ++plan;

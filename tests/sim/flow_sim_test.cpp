@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace opass::sim {
 namespace {
 
@@ -189,6 +191,42 @@ TEST(FlowSimulator, ConservationOfWork) {
   sim.run();
   // 1000 bytes through 50 B/s: exactly 20 s regardless of sharing pattern.
   EXPECT_DOUBLE_EQ(last, 20.0);
+}
+
+TEST(FlowSimulator, SimultaneousCompletionsEachSeeTheirOwnAttribution) {
+  // 600 flows, each alone on a resource of its own capacity and sized to
+  // finish at exactly 5 s: every completion lands on one tick, and each
+  // callback must find its own single binding interval — pinned by its own
+  // resource — among the 600 stashed ones.
+  constexpr std::uint32_t kFlows = 600;
+  FlowSimulator sim;
+  sim.record_attribution(true);
+  std::vector<ResourceId> resources(kFlows);
+  std::vector<FlowId> ids(kFlows);
+  std::uint32_t seen = 0;
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    resources[i] = sim.add_resource(100.0 + i);
+    ids[i] = sim.start_flow({resources[i]}, 500 + 5 * i, [&, i](Seconds t) {
+      EXPECT_DOUBLE_EQ(t, 5.0);
+      const auto* attr = sim.completed_attribution(ids[i]);
+      ASSERT_NE(attr, nullptr);
+      ASSERT_EQ(attr->size(), 1u);
+      EXPECT_EQ((*attr)[0].resource, resources[i]);
+      EXPECT_EQ((*attr)[0].start_ticks, 0);
+      EXPECT_EQ((*attr)[0].end_ticks, to_ticks(5.0));
+      // The same slot under another creation tag is not this flow.
+      EXPECT_EQ(sim.completed_attribution(ids[i] + (FlowId{1} << 32)), nullptr);
+      ++seen;
+    });
+  }
+  // A zero-byte flow completes alone at t = 0, before any of the 600.
+  sim.start_flow({sim.add_resource(1.0)}, 0, [&](Seconds) {
+    EXPECT_EQ(sim.completed_attribution(ids[5]), nullptr);
+  });
+  sim.run();
+  EXPECT_EQ(seen, kFlows);
+  // The stash expires with its event step.
+  EXPECT_EQ(sim.completed_attribution(ids[0]), nullptr);
 }
 
 }  // namespace

@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Run opass_cli with every observation sink on and gate its peak RSS.
+
+Usage:
+    tools/check_peak_rss.py --bound-mib N CLI [CLI_ARGS...]
+
+Runs CLI with CLI_ARGS plus all six sink flags (--metrics-out, --trace-out,
+--timeline-out, --report-html, --spans-out, --critical-path) writing into a
+temporary directory, then reads the child's peak resident set size
+(ru_maxrss of the waited-for child, KiB on Linux) and compares it with N MiB.
+
+Exit code 0 when the peak is within the bound, 1 when it exceeds it, 2 on a
+usage error or a failed run. Used by the `cli_sinks_peak_rss` ctest entry.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+
+SINK_FLAGS = (
+    ("metrics-out", "metrics.json"),
+    ("trace-out", "trace.json"),
+    ("timeline-out", "timeline.json"),
+    ("report-html", "report.html"),
+    ("spans-out", "spans.json"),
+    ("critical-path", "critical_path.json"),
+)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 4 or argv[1] != "--bound-mib":
+        print(__doc__, file=sys.stderr)
+        return 2
+    try:
+        bound_mib = float(argv[2])
+    except ValueError:
+        print(f"check_peak_rss: bad bound '{argv[2]}'", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as out:
+        cmd = argv[3:] + [f"--{flag}={os.path.join(out, name)}" for flag, name in SINK_FLAGS]
+        run = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+        if run.returncode != 0:
+            print(f"check_peak_rss: exit code {run.returncode}: {' '.join(cmd)}")
+            return 2
+        sink_bytes = sum(os.path.getsize(os.path.join(out, name)) for _, name in SINK_FLAGS)
+    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    verdict = "ok" if peak_mib <= bound_mib else "over the bound"
+    print(f"check_peak_rss: peak RSS {peak_mib:.1f} MiB, bound {bound_mib:.1f} MiB, "
+          f"sinks {sink_bytes / 1e6:.1f} MB: {verdict}")
+    return 0 if peak_mib <= bound_mib else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
