@@ -35,14 +35,15 @@ struct Env {
   core::ProcessPlacement placement;
 };
 
-void BM_BuildLocalityGraph(benchmark::State& state) {
+// The process↔chunk co-location step (Fig. 4) as the planners build it.
+void BM_BuildCoLocationIndex(benchmark::State& state) {
   Env env(static_cast<std::uint32_t>(state.range(0)),
           static_cast<std::uint32_t>(state.range(0)) * 10, false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_process_chunk_graph(env.nn, env.placement));
+    benchmark::DoNotOptimize(core::CoLocationIndex(env.nn, env.tasks));
   }
 }
-BENCHMARK(BM_BuildLocalityGraph)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_BuildCoLocationIndex)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_SingleDataEdmondsKarp(benchmark::State& state) {
   Env env(static_cast<std::uint32_t>(state.range(0)),

@@ -1,6 +1,7 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -9,7 +10,9 @@
 #include "common/thread_pool.hpp"
 #include "dfs/topology.hpp"
 #include "obs/collect.hpp"
-#include "opass/opass.hpp"
+#include "opass/assignment_stats.hpp"
+#include "opass/dynamic_scheduler.hpp"
+#include "opass/planner.hpp"
 #include "runtime/task_source.hpp"
 #include "workload/dataset.hpp"
 
@@ -29,15 +32,15 @@ struct Streams {
 };
 
 /// Heartbeat + injector pair armed on a run's cluster when the config carries
-/// a fault plan. Construct before runtime::execute; the scripted events and
+/// a fault plan. Arm before runtime::execute; the scripted events and
 /// detection checks are simulator timers, so they interleave with the job's
 /// reads deterministically.
 struct FaultHarness {
   std::unique_ptr<sim::HeartbeatMonitor> monitor;
   std::unique_ptr<sim::FaultInjector> injector;
 
-  FaultHarness(const ExperimentConfig& cfg, sim::Cluster& cluster, dfs::NameNode& nn,
-               Rng& rng) {
+  /// No-op when the config carries no fault plan.
+  void arm(const ExperimentConfig& cfg, sim::Cluster& cluster, dfs::NameNode& nn, Rng& rng) {
     if (cfg.faults == nullptr) return;
     monitor = std::make_unique<sim::HeartbeatMonitor>(cluster, nn, /*namenode_host=*/0, rng,
                                                       cfg.heartbeat);
@@ -51,11 +54,6 @@ struct FaultHarness {
     if (injector && cfg.fault_stats != nullptr) *cfg.fault_stats = injector->stats();
   }
 };
-
-dfs::NameNode make_namenode(const ExperimentConfig& cfg) {
-  return dfs::NameNode(dfs::Topology::single_rack(cfg.nodes), cfg.replication,
-                       cfg.chunk_size);
-}
 
 /// The run's worker pool (DESIGN.md §12): the config's borrowed pool, a pool
 /// owned for the duration when the config asks for threads > 1, or nothing
@@ -83,52 +81,55 @@ struct PoolHarness {
   }
 };
 
-/// Run the chosen Opass planner through the core::plan() facade with the
-/// experiment's solver knob.
-runtime::Assignment opass_assignment(const ExperimentConfig& cfg, core::PlannerKind kind,
-                                     const dfs::NameNode& nn,
-                                     const std::vector<runtime::Task>& tasks,
-                                     const core::ProcessPlacement& placement, Rng& rng,
-                                     graph::FlowWorkspace* workspace = nullptr,
-                                     ThreadPool* pool = nullptr) {
+using TaskTable = std::vector<runtime::Task>;
+
+/// The tasks `ids` of `tasks`, renumbered densely for the planners.
+TaskTable renumbered(const TaskTable& tasks, const std::vector<runtime::TaskId>& ids) {
+  TaskTable sub;
+  sub.reserve(ids.size());
+  for (runtime::TaskId id : ids) {
+    runtime::Task copy = tasks[id];
+    copy.id = static_cast<runtime::TaskId>(sub.size());
+    sub.push_back(std::move(copy));
+  }
+  return sub;
+}
+
+/// The layout every scenario starts from: an m-node namespace holding the
+/// workload `make_tasks` stores (placement seeded, so both methods see the
+/// same layout), its task table, and `processes_per_node` processes per node.
+template <class MakeTasks>
+PlannedScenario build_scenario(const ExperimentConfig& cfg, Rng& placement_rng,
+                               MakeTasks&& make_tasks) {
+  PlannedScenario sc{dfs::NameNode(dfs::Topology::single_rack(cfg.nodes), cfg.replication,
+                                   cfg.chunk_size),
+                     {}, {}, {}, /*single_data=*/false};
+  auto policy = dfs::make_placement(cfg.placement);
+  sc.tasks = make_tasks(sc.nn, *policy, placement_rng);
+  sc.placement = core::one_process_per_node(sc.nn, cfg.nodes * cfg.processes_per_node);
+  return sc;
+}
+
+/// The plan step of a phase: rank intervals for the baseline, the `kind`
+/// planner through the core::plan() facade for Opass.
+runtime::Assignment plan_phase(const ExperimentConfig& cfg, Method method,
+                               core::PlannerKind kind, const PlannedScenario& sc,
+                               const TaskTable& tasks, Rng& rng,
+                               graph::FlowWorkspace* workspace, ThreadPool* pool) {
+  if (method == Method::kBaseline)
+    return runtime::rank_interval_assignment(static_cast<std::uint32_t>(tasks.size()),
+                                             static_cast<std::uint32_t>(sc.placement.size()));
   core::PlanOptions options;
   options.planner = kind;
   options.algorithm = cfg.flow_algorithm;
   options.workspace = workspace;
   options.threads = cfg.threads;
-  options.pool = pool != nullptr ? pool : cfg.pool;
-  auto result = core::plan({&nn, &tasks, &placement, &rng}, options);
-  // Only Opass plans pass through here, so the prefix is unconditional.
+  options.pool = pool;
+  auto result = core::plan({&sc.nn, &tasks, &sc.placement, &rng}, options);
   // Counters accumulate across per-step replans (ParaView); gauges keep the
   // last step's value.
   if (cfg.metrics != nullptr) obs::collect_plan(*cfg.metrics, result, "opass.planner");
   return std::move(result.assignment);
-}
-
-/// Feed a finished execution to the config's metrics registry (no-op when
-/// none is set), under "<method>.executor" / "<method>.cluster".
-void observe_run(const ExperimentConfig& cfg, Method method,
-                 const runtime::ExecutionResult& exec, const sim::Cluster& cluster) {
-  if (cfg.metrics != nullptr) {
-    const std::string prefix = method_name(method);
-    obs::collect_execution(*cfg.metrics, exec, cfg.nodes, prefix + ".executor");
-    obs::collect_cluster(*cfg.metrics, cluster, prefix + ".cluster");
-  }
-}
-
-/// Hand the finished execution to the config's raw sink (no-op when none is
-/// set) for trace export. A scenario body calls it last, once nothing else
-/// reads the result, so the result moves instead of being copied.
-void keep_raw(const ExperimentConfig& cfg, runtime::ExecutionResult& exec) {
-  if (cfg.raw != nullptr) *cfg.raw = std::move(exec);
-}
-
-/// Append one finished execution's causal spans into the config's span sink
-/// (no-op when none). `tasks` must be the table the execution ran against
-/// (the renumbered per-step table for ParaView steps).
-void observe_spans(const ExperimentConfig& cfg, const runtime::ExecutionResult& exec,
-                   const std::vector<runtime::Task>& tasks, const sim::Cluster& cluster) {
-  if (cfg.spans != nullptr) obs::append_execution_spans(*cfg.spans, exec, tasks, cluster);
 }
 
 /// Fold one step/epoch execution into a run-level aggregate: traces, task
@@ -155,32 +156,161 @@ void accumulate(runtime::ExecutionResult& agg, const runtime::ExecutionResult& s
   agg.read_failures += step.read_failures;
 }
 
-/// Size a run-level aggregate once for `reads` records and `tasks` task
-/// spans (breakdowns too when the run records them), so accumulate() never
-/// regrows it between steps or epochs.
-void reserve_aggregate(runtime::ExecutionResult& agg, std::size_t reads, std::size_t tasks,
-                       bool breakdowns) {
-  agg.trace.reserve(reads);
-  agg.task_spans.reserve(tasks);
-  if (breakdowns) agg.read_breakdowns.reserve(reads);
+/// Dynamic dispatch (Fig. 11), handed to the runner in place of replaying
+/// the phase's plan. The baseline plans nothing; Opass plans its guideline
+/// A* like any phase and the master consumes it.
+struct DynamicHook {
+  /// The master's task source (`guideline` is null for the baseline).
+  std::function<runtime::TaskSource&(const runtime::Assignment* guideline)> source;
+  /// Feeds an armed fault plan's membership events back into the scheduler.
+  std::function<void(sim::FaultInjector&, ThreadPool*)> on_faults;
+  /// Registers the scheduler's metrics, after the cluster's.
+  std::function<void(obs::MetricsRegistry&)> collect;
+};
+
+/// A scenario's reduced run plus the wall time of each phase.
+struct PhasedOutput {
+  RunOutput run;
+  std::vector<Seconds> phase_times;
+  Seconds total_time = 0;
+};
+
+/// The one plan→simulate pipeline every scenario runs. Phase k executes the
+/// task table `phases[k]` on one cluster, starting where phase k − 1 ended.
+/// A phase plans its table, or replays the previous plan when it runs the
+/// previous phase's table again (iterative epochs compute the matching
+/// once). The runner owns the cluster, the executor config, the worker
+/// pool, the timeline, the fault plan (one-phase scenarios only), span
+/// observation, the run-level aggregate and the reduce/observe tail.
+PhasedOutput run_phases(const ExperimentConfig& cfg, Method method, PlannedScenario& sc,
+                        Streams& streams, const std::vector<const TaskTable*>& phases,
+                        core::PlannerKind planner, const DynamicHook* dynamic = nullptr) {
+  // A fault plan's heartbeats run to its horizon, so a second phase would
+  // start only after it; no phase-end rule is defined yet.
+  OPASS_REQUIRE(cfg.faults == nullptr || phases.size() == 1,
+                "fault plans are supported only by the one-phase scenarios "
+                "(single, multi, dynamic)");
+  PoolHarness pool(cfg);
+  // A scenario that re-plans (ParaView steps) shares one workspace across
+  // its plans, so each re-plan reuses the warmed network/solver arenas; a
+  // scenario planned once lets the planner free its network on return
+  // instead of holding it through the simulation.
+  const bool replans =
+      std::adjacent_find(phases.begin(), phases.end(), std::not_equal_to<>()) != phases.end();
+  graph::FlowWorkspace workspace;
+  const bool has_plan = dynamic == nullptr || method == Method::kOpass;
+  const auto plan_tasks = [&](const TaskTable& tasks) {
+    return plan_phase(cfg, method, planner, sc, tasks, streams.assign,
+                      replans ? &workspace : nullptr, pool.pool);
+  };
+  // The first phase plans before the cluster exists, so the planner's
+  // transient memory is returned before the simulator allocates.
+  runtime::Assignment plan;
+  if (has_plan && !phases.empty()) plan = plan_tasks(*phases.front());
+
+  sim::Cluster cluster(cfg.nodes, cfg.cluster);
+  runtime::ExecutorConfig ec;
+  ec.replica_choice = cfg.replica_choice;
+  ec.process_count = static_cast<std::uint32_t>(sc.placement.size());
+  ec.record_read_breakdown = cfg.spans != nullptr;
+  // One timeline spans every phase; expected bytes grow per phase.
+  obs::RunTimeline timeline(cfg.timeline, cluster, ec.process_count);
+  ec.probe = timeline.executor_probe();
+
+  // The run-level aggregate; a one-phase run moves its execution in whole.
+  runtime::ExecutionResult agg;
+  if (phases.size() > 1) {
+    std::size_t reads = 0, task_count = 0;
+    for (const TaskTable* table : phases) {
+      reads += runtime::total_task_inputs(*table);
+      task_count += table->size();
+    }
+    agg.trace.reserve(reads);
+    agg.task_spans.reserve(task_count);
+    if (ec.record_read_breakdown) agg.read_breakdowns.reserve(reads);
+  }
+
+  core::AssignmentStats plan_stats;
+  Bytes planned_total = 0, planned_local = 0;
+  FaultHarness faults;
+  PhasedOutput out;
+  for (std::size_t k = 0; k < phases.size(); ++k) {
+    const TaskTable& tasks = *phases[k];
+    const bool replan = has_plan && (k == 0 || phases[k] != phases[k - 1]);
+    if (replan && k > 0) plan = plan_tasks(tasks);
+
+    const Seconds start = cluster.simulator().now();
+    timeline.add_expected_bytes(runtime::total_task_bytes(sc.nn, tasks));
+    std::optional<runtime::StaticAssignmentSource> replay;
+    runtime::TaskSource& source = dynamic != nullptr
+                                      ? dynamic->source(has_plan ? &plan : nullptr)
+                                      : replay.emplace(plan);
+    // Armed after the first plan, so the planner sees the healthy layout.
+    if (k == 0) faults.arm(cfg, cluster, sc.nn, streams.faults);
+    if (faults.injector && dynamic != nullptr && dynamic->on_faults)
+      dynamic->on_faults(*faults.injector, pool.pool);
+    auto exec = runtime::execute(cluster, sc.nn, tasks, source, streams.exec, ec);
+    out.phase_times.push_back(exec.makespan - start);
+    // Spans append per phase against the phase's own task table; the
+    // aggregate's task ids would alias across renumbered steps.
+    if (cfg.spans != nullptr) obs::append_execution_spans(*cfg.spans, exec, tasks, cluster);
+    // Scored after the phase ran: a fault plan's recovery is part of the
+    // layout the plan met.
+    if (replan) plan_stats = core::evaluate_assignment(sc.nn, tasks, plan, sc.placement);
+    planned_total += plan_stats.total_bytes;
+    planned_local += plan_stats.local_bytes;
+    if (phases.size() == 1)
+      agg = std::move(exec);
+    else
+      accumulate(agg, exec);
+  }
+  for (Seconds t : out.phase_times) out.total_time += t;
+
+  timeline.finish();
+  faults.export_stats(cfg);
+  pool.export_stats(cfg);
+  if (cfg.metrics != nullptr) {
+    const std::string prefix = method_name(method);
+    obs::collect_execution(*cfg.metrics, agg, cfg.nodes, prefix + ".executor");
+    obs::collect_cluster(*cfg.metrics, cluster, prefix + ".cluster");
+    if (dynamic != nullptr && dynamic->collect) dynamic->collect(*cfg.metrics);
+  }
+
+  RunOutput& run = out.run;
+  run.io = summarize(agg.trace.io_times());
+  run.io_times = agg.trace.io_times_by_issue();
+  for (Bytes b : agg.trace.bytes_served_per_node(sc.nn.node_count()))
+    run.served_mb.push_back(to_mib(b));
+  run.local_fraction = agg.trace.local_fraction();
+  run.makespan = out.total_time;
+  run.tasks_executed = agg.tasks_executed;
+  run.planned_local_fraction =
+      planned_total ? static_cast<double>(planned_local) / static_cast<double>(planned_total)
+                    : 0.0;
+  // Last: nothing reads the aggregate after this, so it moves.
+  if (cfg.raw != nullptr) *cfg.raw = std::move(agg);
+  return out;
 }
 
-RunOutput reduce(const dfs::NameNode& nn, const std::vector<runtime::Task>& tasks,
-                 const runtime::ExecutionResult& exec, const core::ProcessPlacement& placement,
-                 const runtime::Assignment* assignment) {
-  RunOutput out;
-  out.io = summarize(exec.trace.io_times());
-  out.io_times = exec.trace.io_times_by_issue();
-  for (Bytes b : exec.trace.bytes_served_per_node(nn.node_count()))
-    out.served_mb.push_back(to_mib(b));
-  out.local_fraction = exec.trace.local_fraction();
-  out.makespan = exec.makespan;
-  out.tasks_executed = exec.tasks_executed;
-  if (assignment) {
-    out.planned_local_fraction =
-        core::evaluate_assignment(nn, tasks, *assignment, placement).local_fraction();
-  }
-  return out;
+PlannedScenario build_single_data(const ExperimentConfig& cfg, Streams& streams,
+                                  std::uint32_t chunk_count, Seconds compute_per_task = 0) {
+  auto sc = build_scenario(cfg, streams.placement,
+                           [&](dfs::NameNode& nn, dfs::PlacementPolicy& policy, Rng& rng) {
+                             return workload::make_single_data_workload(
+                                 nn, chunk_count, policy, rng, compute_per_task);
+                           });
+  sc.single_data = true;
+  return sc;
+}
+
+PlannedScenario build_multi_data(const ExperimentConfig& cfg, Streams& streams,
+                                 std::uint32_t task_count,
+                                 const workload::MultiInputSpec& spec) {
+  return build_scenario(cfg, streams.placement,
+                        [&](dfs::NameNode& nn, dfs::PlacementPolicy& policy, Rng& rng) {
+                          return workload::make_multi_input_workload(nn, task_count, policy,
+                                                                     rng, spec);
+                        });
 }
 
 }  // namespace
@@ -192,258 +322,121 @@ const char* method_name(Method m) {
 PlannedScenario plan_single_data(const ExperimentConfig& cfg, std::uint32_t chunk_count,
                                  Method method) {
   Streams streams(cfg.seed);
-  PlannedScenario sc{make_namenode(cfg), {}, {}, {}, /*single_data=*/true};
-  auto policy = dfs::make_placement(cfg.placement);
-  sc.tasks =
-      workload::make_single_data_workload(sc.nn, chunk_count, *policy, streams.placement);
-  sc.placement = core::one_process_per_node(sc.nn, cfg.nodes * cfg.processes_per_node);
-
-  if (method == Method::kBaseline) {
-    sc.assignment =
-        runtime::rank_interval_assignment(static_cast<std::uint32_t>(sc.tasks.size()),
-                                          static_cast<std::uint32_t>(sc.placement.size()));
-  } else {
-    sc.assignment = opass_assignment(cfg, core::PlannerKind::kSingleData, sc.nn, sc.tasks,
-                                     sc.placement, streams.assign);
-  }
+  auto sc = build_single_data(cfg, streams, chunk_count);
+  sc.assignment = plan_phase(cfg, method, core::PlannerKind::kSingleData, sc, sc.tasks,
+                             streams.assign, nullptr, cfg.pool);
   return sc;
 }
 
 PlannedScenario plan_multi_data(const ExperimentConfig& cfg, std::uint32_t task_count,
                                 Method method, const workload::MultiInputSpec& spec) {
   Streams streams(cfg.seed);
-  PlannedScenario sc{make_namenode(cfg), {}, {}, {}, /*single_data=*/false};
-  auto policy = dfs::make_placement(cfg.placement);
-  sc.tasks = workload::make_multi_input_workload(sc.nn, task_count, *policy, streams.placement,
-                                                 spec);
-  sc.placement = core::one_process_per_node(sc.nn, cfg.nodes * cfg.processes_per_node);
-
-  if (method == Method::kBaseline) {
-    sc.assignment = runtime::rank_interval_assignment(
-        task_count, static_cast<std::uint32_t>(sc.placement.size()));
-  } else {
-    sc.assignment = opass_assignment(cfg, core::PlannerKind::kMultiData, sc.nn, sc.tasks,
-                                     sc.placement, streams.assign);
-  }
+  auto sc = build_multi_data(cfg, streams, task_count, spec);
+  sc.assignment = plan_phase(cfg, method, core::PlannerKind::kMultiData, sc, sc.tasks,
+                             streams.assign, nullptr, cfg.pool);
   return sc;
 }
-
-namespace {
-
-/// Shared tail of the static-plan scenarios: replay the assignment on the
-/// flow simulator and reduce the trace.
-RunOutput simulate_planned(const ExperimentConfig& cfg, PlannedScenario& sc, Rng& exec_rng,
-                           Rng& fault_rng, Method method) {
-  sim::Cluster cluster(cfg.nodes, cfg.cluster);
-  runtime::StaticAssignmentSource source(sc.assignment);
-  runtime::ExecutorConfig ec;
-  ec.replica_choice = cfg.replica_choice;
-  ec.process_count = static_cast<std::uint32_t>(sc.placement.size());
-  ec.record_read_breakdown = cfg.spans != nullptr;
-  PoolHarness pool(cfg);
-  obs::RunTimeline timeline(cfg.timeline, cluster, ec.process_count);
-  ec.probe = timeline.executor_probe();
-  timeline.add_expected_bytes(runtime::total_task_bytes(sc.nn, sc.tasks));
-  FaultHarness faults(cfg, cluster, sc.nn, fault_rng);
-  auto exec = runtime::execute(cluster, sc.nn, sc.tasks, source, exec_rng, ec);
-  timeline.finish();
-  faults.export_stats(cfg);
-  pool.export_stats(cfg);
-  observe_run(cfg, method, exec, cluster);
-  observe_spans(cfg, exec, sc.tasks, cluster);
-  RunOutput out = reduce(sc.nn, sc.tasks, exec, sc.placement, &sc.assignment);
-  keep_raw(cfg, exec);
-  return out;
-}
-
-}  // namespace
 
 RunOutput run_single_data(const ExperimentConfig& cfg, std::uint32_t chunk_count,
                           Method method) {
   Streams streams(cfg.seed);
-  auto sc = plan_single_data(cfg, chunk_count, method);
-  return simulate_planned(cfg, sc, streams.exec, streams.faults, method);
+  auto sc = build_single_data(cfg, streams, chunk_count);
+  return run_phases(cfg, method, sc, streams, {&sc.tasks}, core::PlannerKind::kSingleData)
+      .run;
 }
 
 RunOutput run_multi_data(const ExperimentConfig& cfg, std::uint32_t task_count, Method method,
                          const workload::MultiInputSpec& spec) {
   Streams streams(cfg.seed);
-  auto sc = plan_multi_data(cfg, task_count, method, spec);
-  return simulate_planned(cfg, sc, streams.exec, streams.faults, method);
+  auto sc = build_multi_data(cfg, streams, task_count, spec);
+  return run_phases(cfg, method, sc, streams, {&sc.tasks}, core::PlannerKind::kMultiData)
+      .run;
 }
 
 RunOutput run_dynamic(const ExperimentConfig& cfg, std::uint32_t task_count, Method method,
                       const workload::GenomicsSpec& spec) {
   Streams streams(cfg.seed);
-  auto nn = make_namenode(cfg);
-  auto policy = dfs::make_placement(cfg.placement);
   workload::GenomicsSpec s = spec;
   s.partition_count = task_count;
-  auto tasks = workload::make_genomics_workload(nn, *policy, streams.placement, s);
-  const auto placement =
-      core::one_process_per_node(nn, cfg.nodes * cfg.processes_per_node);
+  auto sc = build_scenario(cfg, streams.placement,
+                           [&](dfs::NameNode& nn, dfs::PlacementPolicy& policy, Rng& rng) {
+                             return workload::make_genomics_workload(nn, policy, rng, s);
+                           });
 
-  sim::Cluster cluster(cfg.nodes, cfg.cluster);
-  runtime::ExecutorConfig ec;
-  ec.replica_choice = cfg.replica_choice;
-  ec.process_count = static_cast<std::uint32_t>(placement.size());
-  ec.record_read_breakdown = cfg.spans != nullptr;
-  PoolHarness pool(cfg);
-  obs::RunTimeline timeline(cfg.timeline, cluster, ec.process_count);
-  ec.probe = timeline.executor_probe();
-  timeline.add_expected_bytes(runtime::total_task_bytes(nn, tasks));
-
+  std::optional<runtime::MasterWorkerSource> random_order;
+  std::optional<core::OpassDynamicSource> opass;
+  DynamicHook hook;
   if (method == Method::kBaseline) {
-    runtime::MasterWorkerSource source(task_count, streams.assign, /*shuffle=*/true);
-    FaultHarness faults(cfg, cluster, nn, streams.faults);
-    auto exec = runtime::execute(cluster, nn, tasks, source, streams.exec, ec);
-    timeline.finish();
-    faults.export_stats(cfg);
-    pool.export_stats(cfg);
-    observe_run(cfg, method, exec, cluster);
-    observe_spans(cfg, exec, tasks, cluster);
-    RunOutput out = reduce(nn, tasks, exec, placement, nullptr);
-    keep_raw(cfg, exec);
-    return out;
-  }
-  // Opass: the matching-based guideline A*, consumed by the Section IV-D
-  // master (own list first, then best-co-located steal from longest list).
-  auto guideline = opass_assignment(cfg, core::PlannerKind::kSingleData, nn, tasks, placement,
-                                    streams.assign, nullptr, pool.pool);
-  core::OpassDynamicSource source(guideline, nn, tasks, placement);
-  FaultHarness faults(cfg, cluster, nn, streams.faults);
-  if (faults.injector) {
+    hook.source = [&](const runtime::Assignment*) -> runtime::TaskSource& {
+      return random_order.emplace(task_count, streams.assign, /*shuffle=*/true);
+    };
+  } else {
+    // Opass: the matching-based guideline A*, consumed by the Section IV-D
+    // master (own list first, then best-co-located steal from longest list).
+    hook.source = [&](const runtime::Assignment* guideline) -> runtime::TaskSource& {
+      return opass.emplace(*guideline, sc.nn, sc.tasks, sc.placement);
+    };
     // Membership changes feed back into the scheduler (DESIGN.md §11): a
     // detected death re-homes the dead node's pending list immediately; once
     // the layout settles again (join, recovery complete) the remaining tasks
     // are re-planned through the core::plan() facade and adopted as the new
     // guideline A*.
-    faults.injector->set_membership_callback(
-        [&](Seconds /*now*/, sim::MembershipEvent ev, dfs::NodeId node) {
-          if (ev == sim::MembershipEvent::kNodeDead) {
-            source.on_node_dead(node);
-            return;
-          }
-          if (ev != sim::MembershipEvent::kNodeJoined &&
-              ev != sim::MembershipEvent::kRecoveryComplete)
-            return;
-          const auto remaining = source.remaining_task_ids();
-          if (remaining.empty()) return;
-          // Re-plan the pending tasks (renumbered densely for the matcher,
-          // mapped back to original ids for the scheduler).
-          std::vector<runtime::Task> sub;
-          sub.reserve(remaining.size());
-          for (runtime::TaskId id : remaining) {
-            runtime::Task copy = tasks[id];
-            copy.id = static_cast<runtime::TaskId>(sub.size());
-            sub.push_back(std::move(copy));
-          }
-          core::PlanOptions options;
-          options.planner = core::PlannerKind::kSingleData;
-          options.algorithm = cfg.flow_algorithm;
-          options.pool = pool.pool;
-          auto sub_assignment =
-              core::plan({&nn, &sub, &placement, &streams.assign}, options).assignment;
-          runtime::Assignment mapped(sub_assignment.size());
-          for (std::size_t p = 0; p < sub_assignment.size(); ++p)
-            for (runtime::TaskId t : sub_assignment[p]) mapped[p].push_back(remaining[t]);
-          source.adopt_guideline(mapped);
-        });
+    hook.on_faults = [&](sim::FaultInjector& injector, ThreadPool* pool) {
+      injector.set_membership_callback(
+          [&, pool](Seconds /*now*/, sim::MembershipEvent ev, dfs::NodeId node) {
+            if (ev == sim::MembershipEvent::kNodeDead) {
+              opass->on_node_dead(node);
+              return;
+            }
+            if (ev != sim::MembershipEvent::kNodeJoined &&
+                ev != sim::MembershipEvent::kRecoveryComplete)
+              return;
+            const auto remaining = opass->remaining_task_ids();
+            if (remaining.empty()) return;
+            // Re-plan the pending tasks (renumbered densely for the matcher,
+            // mapped back to original ids for the scheduler).
+            const TaskTable sub = renumbered(sc.tasks, remaining);
+            core::PlanOptions options;
+            options.planner = core::PlannerKind::kSingleData;
+            options.algorithm = cfg.flow_algorithm;
+            options.pool = pool;
+            auto sub_assignment =
+                core::plan({&sc.nn, &sub, &sc.placement, &streams.assign}, options).assignment;
+            runtime::Assignment mapped(sub_assignment.size());
+            for (std::size_t p = 0; p < sub_assignment.size(); ++p)
+              for (runtime::TaskId t : sub_assignment[p]) mapped[p].push_back(remaining[t]);
+            opass->adopt_guideline(mapped);
+          });
+    };
+    hook.collect = [&](obs::MetricsRegistry& metrics) {
+      obs::collect_dynamic(metrics, *opass, "opass.dynamic");
+    };
   }
-  auto exec = runtime::execute(cluster, nn, tasks, source, streams.exec, ec);
-  timeline.finish();
-  faults.export_stats(cfg);
-  pool.export_stats(cfg);
-  observe_run(cfg, method, exec, cluster);
-  observe_spans(cfg, exec, tasks, cluster);
-  if (cfg.metrics != nullptr) obs::collect_dynamic(*cfg.metrics, source, "opass.dynamic");
-  RunOutput out = reduce(nn, tasks, exec, placement, &guideline);
-  keep_raw(cfg, exec);
-  return out;
+  return run_phases(cfg, method, sc, streams, {&sc.tasks}, core::PlannerKind::kSingleData,
+                    &hook)
+      .run;
 }
 
 ParaViewOutput run_paraview(const ExperimentConfig& cfg, Method method,
                             const workload::ParaViewSpec& spec) {
   Streams streams(cfg.seed);
-  auto nn = make_namenode(cfg);
-  auto policy = dfs::make_placement(cfg.placement);
-  auto wl = workload::make_paraview_workload(nn, *policy, streams.placement, spec);
-  const auto placement = core::one_process_per_node(nn);
-  const auto m = static_cast<std::uint32_t>(placement.size());
+  std::vector<std::vector<runtime::TaskId>> steps;
+  auto sc = build_scenario(cfg, streams.placement,
+                           [&](dfs::NameNode& nn, dfs::PlacementPolicy& policy, Rng& rng) {
+                             auto wl = workload::make_paraview_workload(nn, policy, rng, spec);
+                             steps = std::move(wl.steps);
+                             return std::move(wl.tasks);
+                           });
+  // One phase per rendering step, over that step's pieces renumbered for
+  // the assigners; Opass plans each inside ReadXMLData().
+  std::vector<TaskTable> step_tables;
+  step_tables.reserve(steps.size());
+  for (const auto& step : steps) step_tables.push_back(renumbered(sc.tasks, step));
+  std::vector<const TaskTable*> phases;
+  for (const TaskTable& table : step_tables) phases.push_back(&table);
 
-  ParaViewOutput out;
-  sim::Cluster cluster(cfg.nodes, cfg.cluster);
-  runtime::ExecutorConfig ec;
-  ec.replica_choice = cfg.replica_choice;
-  ec.record_read_breakdown = cfg.spans != nullptr;
-  PoolHarness pool(cfg);
-  // One timeline spans every rendering step; expected bytes grow per step.
-  obs::RunTimeline timeline(cfg.timeline, cluster, m);
-  ec.probe = timeline.executor_probe();
-
-  runtime::ExecutionResult agg;  // run-level aggregate across rendering steps
-  std::size_t step_reads = 0, step_task_count = 0;
-  for (const auto& step : wl.steps) {
-    step_task_count += step.size();
-    for (runtime::TaskId t : step) step_reads += wl.tasks[t].inputs.size();
-  }
-  reserve_aggregate(agg, step_reads, step_task_count, ec.record_read_breakdown);
-  Bytes planned_total = 0, planned_local = 0;
-
-  // One workspace across all rendering steps: per-step replanning reuses the
-  // warmed network/solver arenas instead of reallocating them.
-  graph::FlowWorkspace workspace;
-
-  for (const auto& step : wl.steps) {
-    // Tasks of this rendering step, renumbered densely for the assigners.
-    std::vector<runtime::Task> step_tasks;
-    step_tasks.reserve(step.size());
-    for (runtime::TaskId t : step) {
-      runtime::Task copy = wl.tasks[t];
-      copy.id = static_cast<runtime::TaskId>(step_tasks.size());
-      step_tasks.push_back(std::move(copy));
-    }
-
-    runtime::Assignment assignment;
-    if (method == Method::kBaseline) {
-      assignment = runtime::rank_interval_assignment(
-          static_cast<std::uint32_t>(step_tasks.size()), m);
-    } else {
-      // Opass inside ReadXMLData(): assign this step's pieces by matching.
-      assignment = opass_assignment(cfg, core::PlannerKind::kSingleData, nn, step_tasks,
-                                    placement, streams.assign, &workspace, pool.pool);
-    }
-    const auto stats = core::evaluate_assignment(nn, step_tasks, assignment, placement);
-    planned_total += stats.total_bytes;
-    planned_local += stats.local_bytes;
-
-    const Seconds step_start = cluster.simulator().now();
-    timeline.add_expected_bytes(runtime::total_task_bytes(nn, step_tasks));
-    runtime::StaticAssignmentSource source(assignment);
-    auto exec = runtime::execute(cluster, nn, step_tasks, source, streams.exec, ec);
-    out.step_times.push_back(exec.makespan - step_start);
-    // Spans append per step against the step's own (renumbered) task table;
-    // the aggregate's task ids would alias across steps.
-    observe_spans(cfg, exec, step_tasks, cluster);
-    accumulate(agg, exec);
-  }
-
-  for (Seconds t : out.step_times) out.total_time += t;
-  timeline.finish();
-  pool.export_stats(cfg);
-  observe_run(cfg, method, agg, cluster);
-  out.run.io = summarize(agg.trace.io_times());
-  out.run.io_times = agg.trace.io_times_by_issue();
-  for (Bytes b : agg.trace.bytes_served_per_node(nn.node_count()))
-    out.run.served_mb.push_back(to_mib(b));
-  out.run.local_fraction = agg.trace.local_fraction();
-  out.run.makespan = out.total_time;
-  out.run.tasks_executed = static_cast<std::uint32_t>(agg.trace.size());
-  out.run.planned_local_fraction =
-      planned_total ? static_cast<double>(planned_local) / static_cast<double>(planned_total)
-                    : 0.0;
-  keep_raw(cfg, agg);
-  return out;
+  auto phased = run_phases(cfg, method, sc, streams, phases, core::PlannerKind::kSingleData);
+  return {std::move(phased.run), std::move(phased.phase_times), phased.total_time};
 }
 
 IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_count,
@@ -451,62 +444,12 @@ IterativeOutput run_iterative(const ExperimentConfig& cfg, std::uint32_t chunk_c
                               Seconds compute_per_task) {
   OPASS_REQUIRE(epochs > 0, "need at least one epoch");
   Streams streams(cfg.seed);
-  auto nn = make_namenode(cfg);
-  auto policy = dfs::make_placement(cfg.placement);
-  auto tasks = workload::make_single_data_workload(nn, chunk_count, *policy,
-                                                   streams.placement, compute_per_task);
-  const auto placement = core::one_process_per_node(nn);
-
-  PoolHarness pool(cfg);
-  // The assignment is computed once, before the first epoch — for Opass this
-  // is where the matching overhead is amortized across every epoch.
-  runtime::Assignment assignment;
-  if (method == Method::kBaseline) {
-    assignment = runtime::rank_interval_assignment(static_cast<std::uint32_t>(tasks.size()),
-                                                   static_cast<std::uint32_t>(placement.size()));
-  } else {
-    assignment = opass_assignment(cfg, core::PlannerKind::kSingleData, nn, tasks, placement,
-                                  streams.assign, nullptr, pool.pool);
-  }
-
-  IterativeOutput out;
-  sim::Cluster cluster(cfg.nodes, cfg.cluster);
-  runtime::ExecutorConfig ec;
-  ec.replica_choice = cfg.replica_choice;
-  ec.record_read_breakdown = cfg.spans != nullptr;
-  // One timeline spans every epoch; the same dataset is owed again each pass.
-  obs::RunTimeline timeline(cfg.timeline, cluster,
-                            static_cast<std::uint32_t>(placement.size()));
-  ec.probe = timeline.executor_probe();
-  runtime::ExecutionResult agg;  // run-level aggregate across epochs
-  reserve_aggregate(agg, runtime::total_task_inputs(tasks) * epochs, tasks.size() * epochs,
-                    ec.record_read_breakdown);
-
-  for (std::uint32_t e = 0; e < epochs; ++e) {
-    const Seconds epoch_start = cluster.simulator().now();
-    timeline.add_expected_bytes(runtime::total_task_bytes(nn, tasks));
-    runtime::StaticAssignmentSource source(assignment);
-    const auto exec = runtime::execute(cluster, nn, tasks, source, streams.exec, ec);
-    out.epoch_times.push_back(exec.makespan - epoch_start);
-    observe_spans(cfg, exec, tasks, cluster);
-    accumulate(agg, exec);
-  }
-  for (Seconds t : out.epoch_times) out.total_time += t;
-  timeline.finish();
-  pool.export_stats(cfg);
-  observe_run(cfg, method, agg, cluster);
-
-  out.run.io = summarize(agg.trace.io_times());
-  out.run.io_times = agg.trace.io_times_by_issue();
-  for (Bytes b : agg.trace.bytes_served_per_node(nn.node_count()))
-    out.run.served_mb.push_back(to_mib(b));
-  out.run.local_fraction = agg.trace.local_fraction();
-  out.run.makespan = out.total_time;
-  out.run.tasks_executed = static_cast<std::uint32_t>(agg.trace.size());
-  out.run.planned_local_fraction =
-      core::evaluate_assignment(nn, tasks, assignment, placement).local_fraction();
-  keep_raw(cfg, agg);
-  return out;
+  auto sc = build_single_data(cfg, streams, chunk_count, compute_per_task);
+  // Every epoch runs the same table, so the plan is computed once, before the
+  // first epoch — for Opass this is where the matching overhead is amortized.
+  const std::vector<const TaskTable*> phases(epochs, &sc.tasks);
+  auto phased = run_phases(cfg, method, sc, streams, phases, core::PlannerKind::kSingleData);
+  return {std::move(phased.run), std::move(phased.phase_times), phased.total_time};
 }
 
 }  // namespace opass::exp

@@ -3,10 +3,13 @@
 // Every experiment follows the same pipeline the paper uses:
 //   1. stand up an HDFS-model namespace over an m-node cluster and store the
 //      workload's dataset(s) (placement seeded => identical layout for both
-//      methods);
-//   2. compute a task assignment — the scenario's baseline or Opass;
-//   3. replay the parallel execution on the flow-level cluster simulator;
-//   4. reduce the trace to the series the paper plots.
+//      methods), and place processes_per_node processes on every node;
+//   2. run the scenario's phases on one simulated cluster, each a plan step
+//      (the method's task assignment) followed by a simulate step (the
+//      parallel execution replayed on the flow-level cluster simulator).
+//      Single, multi and dynamic are one phase; ParaView runs one phase per
+//      rendering step and the iterative scenario one per epoch;
+//   3. reduce the phases' traces to the series the paper plots.
 #pragma once
 
 #include <cstdint>
@@ -89,13 +92,15 @@ struct ExperimentConfig {
   /// covers one run: a `--method=both` comparison needs two.
   obs::TimelineRecorder* timeline = nullptr;
   /// Optional fault/churn scenario (borrowed; must outlive the run). When
-  /// set, run_single_data / run_multi_data / run_dynamic stand up a
-  /// heartbeat monitor (beats travel to node 0) and arm the plan on the
-  /// run's cluster before execution, so crashes abort in-flight reads,
-  /// stragglers re-level active transfers, and re-replication traffic
-  /// competes with the job's reads. The dynamic Opass scheduler reacts to
-  /// membership events (dead-node list re-homing + a core::plan() re-plan of
-  /// the remaining tasks). run_paraview / run_iterative ignore the plan.
+  /// set, the run stands up a heartbeat monitor (beats travel to node 0) and
+  /// arms the plan on the run's cluster once its phase is planned, so
+  /// crashes abort in-flight reads, stragglers re-level active transfers,
+  /// and re-replication traffic competes with the job's reads. The dynamic
+  /// Opass scheduler reacts to membership events (dead-node list re-homing +
+  /// a core::plan() re-plan of the remaining tasks). Only one-phase runs
+  /// take a plan: run_paraview with more than one step and run_iterative
+  /// with more than one epoch throw std::invalid_argument, because the
+  /// plan's heartbeats would hold the first phase open to its horizon.
   const sim::FaultPlan* faults = nullptr;
   /// Fault-lifecycle observer wired into the injector (borrowed), e.g.
   /// obs::FaultEventLog. Only read when `faults` is set.

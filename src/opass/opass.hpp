@@ -18,7 +18,6 @@
 #include "opass/multi_data.hpp"
 #include "opass/plan_audit.hpp"
 #include "opass/plan_io.hpp"
-#include "opass/hdfs_integration.hpp"
 #include "opass/incremental.hpp"
 #include "opass/planner.hpp"
 #include "opass/rack_aware.hpp"

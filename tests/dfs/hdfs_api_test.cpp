@@ -151,6 +151,31 @@ TEST_F(HdfsApiFixture, GetHostsReturnsPerBlockReplicas) {
   EXPECT_EQ(mid[0], nn.locations(nn.file(fid).chunks[1]));
 }
 
+TEST_F(HdfsApiFixture, LayoutQueriesSeeMetadataOnlyFiles) {
+  // Files created straight on the NameNode answer the layout queries like
+  // written ones: path info carries size and block size, and a whole-file
+  // hosts query lists every block's replicas in block order.
+  dfs::RandomPlacement policy;
+  Rng rng(9);
+  nn.create_file("in/a", 10 * kMiB, policy, rng);  // 4 + 4 + 2 MiB
+  const auto info = hdfsGetPathInfo(fs, "in/a");
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->size, 10 * kMiB);
+  EXPECT_EQ(info->block_size, 4 * kMiB);
+  EXPECT_EQ(info->replication, 3u);
+
+  const auto hosts = hdfsGetHosts(fs, "in/a", 0, static_cast<tOffset>(info->size));
+  const auto& chunks = nn.file(nn.find_file("in/a")).chunks;
+  ASSERT_EQ(hosts.size(), chunks.size());
+  for (std::size_t b = 0; b < chunks.size(); ++b) {
+    const dfs::ReplicaSet& replicas = nn.locations(chunks[b]);
+    EXPECT_EQ(hosts[b], std::vector<dfs::NodeId>(replicas.begin(), replicas.end()));
+  }
+
+  EXPECT_FALSE(hdfsGetPathInfo(fs, "ghost").has_value());
+  EXPECT_TRUE(hdfsGetHosts(fs, "ghost", 0, 1).empty());
+}
+
 TEST_F(HdfsApiFixture, WriterLocalFirstReplica) {
   // Writes through a connect(local_node=2) handle with HDFS-default
   // placement put the first replica on node 2.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace opass::exp {
 namespace {
 
@@ -152,6 +154,27 @@ TEST(Experiment, ProcessesPerNodeMultipliesProcesses) {
   EXPECT_EQ(out.tasks_executed, 64u);
   // 32 processes on 16 nodes: quotas of 2 tasks each still drain everything.
   EXPECT_GT(out.local_fraction, 0.9);
+
+  // Iterative epochs and ParaView steps place the same 32 processes.
+  runtime::ExecutionResult raw;
+  cfg.raw = &raw;
+  const auto max_process = [&raw] {
+    runtime::ProcessId top = 0;
+    for (const auto& rec : raw.trace.records()) top = std::max(top, rec.process);
+    return top;
+  };
+  const auto iterative = run_iterative(cfg, 64, /*epochs=*/2, Method::kOpass);
+  EXPECT_EQ(iterative.run.tasks_executed, 128u);
+  EXPECT_EQ(raw.process_finish_time.size(), 32u);
+  EXPECT_EQ(max_process(), 31u);
+  workload::ParaViewSpec spec;
+  spec.dataset_count = 64;
+  spec.datasets_per_step = 32;
+  const auto paraview = run_paraview(cfg, Method::kBaseline, spec);
+  EXPECT_EQ(paraview.run.tasks_executed, 64u);
+  EXPECT_EQ(paraview.step_times.size(), 2u);
+  EXPECT_EQ(raw.process_finish_time.size(), 32u);
+  EXPECT_EQ(max_process(), 31u);
 }
 
 TEST(Experiment, MethodNames) {

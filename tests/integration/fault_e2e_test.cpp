@@ -114,6 +114,22 @@ TEST(FaultE2E, DynamicSchedulerReplansAroundACrash) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST(FaultE2E, MultiPhaseRunsRejectAFaultPlan) {
+  // A fault plan's heartbeats run to its horizon, so no second phase could
+  // start before it: ParaView steps and iterative epochs refuse the plan
+  // instead of silently running without it.
+  auto cfg = small_cfg();
+  sim::FaultPlan plan;
+  plan.events.push_back(make_event(2.0, sim::FaultKind::kCrash, 5));
+  cfg.faults = &plan;
+  workload::ParaViewSpec spec;
+  spec.dataset_count = 32;
+  spec.datasets_per_step = 16;
+  EXPECT_THROW(run_paraview(cfg, Method::kOpass, spec), std::invalid_argument);
+  EXPECT_THROW(run_iterative(cfg, 32, /*epochs=*/2, Method::kBaseline),
+               std::invalid_argument);
+}
+
 TEST(FaultE2E, ChurnRunStaysDeterministic) {
   auto cfg = small_cfg();
   cfg.replication = 2;

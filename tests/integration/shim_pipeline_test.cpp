@@ -4,6 +4,7 @@
 // locality end to end — the workflow a real deployment would follow.
 #include <gtest/gtest.h>
 
+#include "dfs/hdfs_api.hpp"
 #include "opass/opass.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/task_source.hpp"
@@ -30,18 +31,22 @@ TEST(ShimPipeline, IngestPlanExecuteVerify) {
     paths.push_back(path);
   }
 
-  // 2. Discover the layout through hdfsGetHosts and plan with Opass.
-  const auto placement = core::one_process_per_node(nn);
-  const auto view = core::build_locality_via_hdfs(fs, paths, placement);
-  ASSERT_EQ(view.blocks.size(), kFiles);
-
-  // Resolve each block back to a task (single-block files: index == task).
+  // 2. Discover the layout through hdfsGetPathInfo + hdfsGetHosts and plan
+  //    with Opass. Each file is one block, hence one task reading its chunk.
   std::vector<runtime::Task> tasks(kFiles);
   for (std::uint32_t i = 0; i < kFiles; ++i) {
+    const auto info = hdfs::hdfsGetPathInfo(fs, paths[i]);
+    ASSERT_TRUE(info.has_value());
+    const auto hosts =
+        hdfs::hdfsGetHosts(fs, paths[i], 0, static_cast<hdfs::tOffset>(info->size));
+    ASSERT_EQ(hosts.size(), 1u);
+    const dfs::ChunkId chunk = nn.file(nn.find_file(paths[i])).chunks[0];
+    const dfs::ReplicaSet& replicas = nn.locations(chunk);
+    EXPECT_EQ(hosts[0], std::vector<dfs::NodeId>(replicas.begin(), replicas.end()));
     tasks[i].id = i;
-    const auto fid = nn.find_file(view.blocks[i].path);
-    tasks[i].inputs = {nn.file(fid).chunks[view.blocks[i].block_index]};
+    tasks[i].inputs = {chunk};
   }
+  const auto placement = core::one_process_per_node(nn);
 
   Rng rng(3);
   const auto plan = core::assign_single_data(nn, tasks, placement, rng);

@@ -71,9 +71,7 @@ TEST_P(SingleDataTest, MatchedTasksAreActuallyLocal) {
 }
 
 TEST_P(SingleDataTest, MatchingIsMaximum) {
-  // Compare against an independent oracle: Hopcroft–Karp on the same
-  // bipartite graph with per-process quota expansion is overkill; instead
-  // verify optimality on a crafted instance whose optimum is known.
+  // Verify optimality on a crafted instance whose optimum is known.
   //
   //  4 nodes, r=1, 4 chunks placed: c0->n0, c1->n0, c2->n1, c3->n2.
   //  Quota = 1 task per process. Max local = 3 (c0 or c1 on p0, c2 on p1,
