@@ -50,12 +50,8 @@ int main() {
     Rng placement_rng(2020);
     App a, b;
     a.tasks = workload::make_single_data_workload(nn, chunks, policy, placement_rng);
-    {
-      const auto fid = nn.create_file("datasetB",
-                                      static_cast<Bytes>(chunks) * nn.chunk_size(), policy,
-                                      placement_rng);
-      b.tasks = runtime::single_input_tasks(nn, {fid});
-    }
+    b.tasks = runtime::single_input_tasks(
+        nn, {workload::store_chunked_dataset(nn, chunks, policy, placement_rng)});
     const auto placement = core::one_process_per_node(nn);
     Rng assign_rng(7);
     a.assignment = a_opass

@@ -31,7 +31,7 @@ int main() {
   Bytes total = 0;
   for (std::uint32_t i = 0; i < files; ++i) {
     const Bytes size = (8 + rng.uniform(57)) * kMiB;  // 8..64 MiB
-    const auto fid = nn.create_file("series/f" + std::to_string(i), size, policy, rng);
+    const auto fid = nn.create_file(size, policy, rng);
     runtime::Task t;
     t.id = i;
     t.inputs = {nn.file(fid).chunks[0]};

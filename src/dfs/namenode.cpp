@@ -1,11 +1,22 @@
 #include "dfs/namenode.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <span>
 
 #include "common/require.hpp"
 
 namespace opass::dfs {
+namespace {
+
+/// True iff no node appears twice (a pairwise scan: r is a handful).
+bool all_distinct(std::span<const NodeId> nodes) {
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    for (std::size_t j = i + 1; j < nodes.size(); ++j)
+      if (nodes[i] == nodes[j]) return false;
+  return true;
+}
+
+}  // namespace
 
 NameNode::NameNode(Topology topo, std::uint32_t replication, Bytes chunk_size)
     : topo_(std::move(topo)),
@@ -19,14 +30,11 @@ NameNode::NameNode(Topology topo, std::uint32_t replication, Bytes chunk_size)
   OPASS_REQUIRE(chunk_size_ > 0, "chunk size must be positive");
 }
 
-FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolicy& policy,
-                             Rng& rng, NodeId writer) {
+FileId NameNode::create_file(Bytes size, PlacementPolicy& policy, Rng& rng, NodeId writer) {
   OPASS_REQUIRE(size > 0, "cannot create an empty file");
-  OPASS_REQUIRE(!exists(name), "a file with this name already exists");
   const auto fid = static_cast<FileId>(files_.size());
   FileInfo fi;
   fi.id = fid;
-  fi.name = name;
   fi.size = size;
 
   Bytes remaining = size;
@@ -41,10 +49,9 @@ FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolic
     ci.size = csize;
     chunks_.push_back(ci);
 
-    auto replicas = policy.place(topo_, writer, replication_, rng);
+    const auto replicas = policy.place(topo_, writer, replication_, rng);
     OPASS_CHECK(replicas.size() == replication_, "policy returned wrong replica count");
-    std::unordered_set<NodeId> distinct(replicas.begin(), replicas.end());
-    OPASS_CHECK(distinct.size() == replicas.size(), "policy returned duplicate replicas");
+    OPASS_CHECK(all_distinct(replicas), "policy returned duplicate replicas");
     for (NodeId n : replicas) {
       OPASS_CHECK(n < topo_.node_count(), "policy returned node out of range");
       add_replica(cid, n);
@@ -54,49 +61,7 @@ FileId NameNode::create_file(const std::string& name, Bytes size, PlacementPolic
     remaining -= csize;
   }
   files_.push_back(std::move(fi));
-  file_deleted_.push_back(0);
-  by_name_.emplace(name, fid);
   return fid;
-}
-
-FileId NameNode::find_file(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? kInvalidFile : it->second;
-}
-
-std::vector<FileId> NameNode::list_prefix(const std::string& prefix) const {
-  std::vector<FileId> out;
-  for (const auto& f : files_) {
-    if (file_deleted_[f.id]) continue;
-    if (f.name.compare(0, prefix.size(), prefix) == 0) out.push_back(f.id);
-  }
-  return out;
-}
-
-void NameNode::delete_file(FileId id) {
-  OPASS_REQUIRE(id < files_.size(), "file id out of range");
-  OPASS_REQUIRE(!file_deleted_[id], "file already deleted");
-  for (ChunkId c : files_[id].chunks) {
-    // Drop every replica; the chunk id stays allocated as a tombstone.
-    const auto replicas = chunks_[c].replicas;  // copy: remove_replica mutates
-    for (NodeId n : replicas) remove_replica(c, n);
-  }
-  by_name_.erase(files_[id].name);
-  file_deleted_[id] = 1;
-}
-
-void NameNode::rename_file(FileId id, const std::string& new_name) {
-  OPASS_REQUIRE(id < files_.size(), "file id out of range");
-  OPASS_REQUIRE(!file_deleted_[id], "cannot rename a deleted file");
-  OPASS_REQUIRE(!exists(new_name), "a file with the new name already exists");
-  by_name_.erase(files_[id].name);
-  files_[id].name = new_name;
-  by_name_.emplace(new_name, id);
-}
-
-bool NameNode::is_deleted(FileId id) const {
-  OPASS_REQUIRE(id < files_.size(), "file id out of range");
-  return file_deleted_[id] != 0;
 }
 
 const FileInfo& NameNode::file(FileId id) const {
@@ -130,8 +95,7 @@ std::vector<Bytes> NameNode::node_bytes() const {
 
 Bytes NameNode::total_file_bytes() const {
   Bytes total = 0;
-  for (const auto& f : files_)
-    if (!file_deleted_[f.id]) total += f.size;
+  for (const auto& f : files_) total += f.size;
   return total;
 }
 
@@ -235,16 +199,9 @@ std::uint32_t NameNode::balance(Rng& rng, std::uint32_t tolerance) {
 }
 
 void NameNode::check_invariants() const {
-  std::size_t live_chunks = 0;
   for (const auto& c : chunks_) {
-    if (file_deleted_[c.file]) {
-      OPASS_CHECK(c.replicas.empty(), "deleted file still holds replicas");
-      continue;
-    }
-    ++live_chunks;
     OPASS_CHECK(c.replicas.size() == replication_, "chunk replica count drifted");
-    std::unordered_set<NodeId> distinct(c.replicas.begin(), c.replicas.end());
-    OPASS_CHECK(distinct.size() == c.replicas.size(), "duplicate replica nodes");
+    OPASS_CHECK(all_distinct(c.replicas), "duplicate replica nodes");
     for (NodeId n : c.replicas) {
       const auto& inv = node_chunks_.at(n);
       OPASS_CHECK(std::find(inv.begin(), inv.end(), c.id) != inv.end(),
@@ -253,7 +210,7 @@ void NameNode::check_invariants() const {
   }
   std::size_t indexed = 0;
   for (const auto& inv : node_chunks_) indexed += inv.size();
-  OPASS_CHECK(indexed == live_chunks * replication_, "inventory size mismatch");
+  OPASS_CHECK(indexed == chunks_.size() * replication_, "inventory size mismatch");
 }
 
 void NameNode::add_replica(ChunkId chunk, NodeId node) {

@@ -4,12 +4,12 @@
 // the operations the paper's scenarios need: writing datasets (chunking +
 // placement), the layout query Opass consumes (equivalent to HDFS
 // getFileBlockLocations), node addition/decommissioning (the paper's stated
-// cause of unbalanced layouts) and an HDFS-style balancer.
+// cause of unbalanced layouts) and an HDFS-style balancer. Files are
+// identified by id only: Opass reads the block layout, never a path, so
+// there is no name index and files are never deleted.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -31,8 +31,7 @@ class NameNode {
 
   /// Create a file of `size` bytes: splits into ceil(size/chunk_size) chunks
   /// (last chunk possibly short) and places each via `policy`.
-  FileId create_file(const std::string& name, Bytes size, PlacementPolicy& policy, Rng& rng,
-                     NodeId writer = kInvalidNode);
+  FileId create_file(Bytes size, PlacementPolicy& policy, Rng& rng, NodeId writer = kInvalidNode);
 
   // --- metadata queries (what Opass consumes) ---
 
@@ -46,29 +45,6 @@ class NameNode {
 
   const FileInfo& file(FileId id) const;
   const ChunkInfo& chunk(ChunkId id) const;
-
-  /// Look up a live file by exact name; kInvalidFile if absent or deleted.
-  FileId find_file(const std::string& name) const;
-
-  /// True iff a live file with this name exists.
-  bool exists(const std::string& name) const { return find_file(name) != kInvalidFile; }
-
-  /// All live files whose name starts with `prefix` (directory-listing
-  /// semantics for path prefixes like "multiblock/").
-  std::vector<FileId> list_prefix(const std::string& prefix) const;
-
-  /// Delete a file: all chunk replicas are dropped from node inventories and
-  /// the name is released. Ids stay allocated (tombstoned) so existing
-  /// ChunkIds never dangle.
-  void delete_file(FileId id);
-
-  /// Rename a live file; the new name must be free.
-  void rename_file(FileId id, const std::string& new_name);
-
-  /// True iff the file has been deleted.
-  bool is_deleted(FileId id) const;
-
-  static constexpr FileId kInvalidFile = UINT32_MAX;
 
   /// Replica locations of a chunk (the layout query).
   const ReplicaSet& locations(ChunkId id) const { return chunk(id).replicas; }
@@ -144,8 +120,6 @@ class NameNode {
   std::vector<ChunkInfo> chunks_;
   std::vector<std::vector<ChunkId>> node_chunks_;  // per-node inventory
   std::vector<char> decommissioned_;
-  std::vector<char> file_deleted_;
-  std::unordered_map<std::string, FileId> by_name_;
 };
 
 }  // namespace opass::dfs

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/inline_vec.hpp"
@@ -47,7 +46,6 @@ struct ChunkInfo {
 /// Metadata of one logical file.
 struct FileInfo {
   FileId id = 0;
-  std::string name;
   Bytes size = 0;
   std::vector<ChunkId> chunks;
 };

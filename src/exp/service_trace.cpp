@@ -109,8 +109,7 @@ ServiceTraceOutput replay_service_trace(const ServiceTraceConfig& cfg,
   dfs::NameNode nn(dfs::Topology::single_rack(cfg.nodes), cfg.replication);
   auto policy = dfs::make_placement(cfg.placement);
   const dfs::FileId fid = workload::store_chunked_dataset(
-      nn, "service-dataset", static_cast<std::uint32_t>(total_tasks), *policy,
-      placement_rng);
+      nn, static_cast<std::uint32_t>(total_tasks), *policy, placement_rng);
   const std::vector<runtime::Task> all_tasks = runtime::single_input_tasks(nn, {fid});
   const core::ProcessPlacement placement = core::one_process_per_node(nn, cfg.nodes);
 

@@ -8,18 +8,17 @@
 
 namespace opass::workload {
 
-dfs::FileId store_chunked_dataset(dfs::NameNode& nn, const std::string& name,
-                                  std::uint32_t chunk_count, dfs::PlacementPolicy& policy,
-                                  Rng& rng) {
+dfs::FileId store_chunked_dataset(dfs::NameNode& nn, std::uint32_t chunk_count,
+                                  dfs::PlacementPolicy& policy, Rng& rng) {
   OPASS_REQUIRE(chunk_count > 0, "dataset needs at least one chunk");
-  return nn.create_file(name, static_cast<Bytes>(chunk_count) * nn.chunk_size(), policy, rng);
+  return nn.create_file(static_cast<Bytes>(chunk_count) * nn.chunk_size(), policy, rng);
 }
 
 std::vector<runtime::Task> make_single_data_workload(dfs::NameNode& nn,
                                                      std::uint32_t chunk_count,
                                                      dfs::PlacementPolicy& policy, Rng& rng,
                                                      Seconds compute_time) {
-  const dfs::FileId fid = store_chunked_dataset(nn, "dataset", chunk_count, policy, rng);
+  const dfs::FileId fid = store_chunked_dataset(nn, chunk_count, policy, rng);
   return runtime::single_input_tasks(nn, {fid}, compute_time);
 }
 
@@ -34,8 +33,7 @@ std::vector<runtime::Task> make_skewed_workload(dfs::NameNode& nn,
   std::vector<dfs::FileId> files;
   files.reserve(params.file_count);
   for (std::uint32_t i = 0; i < params.file_count; ++i)
-    files.push_back(store_chunked_dataset(nn, "hot/" + std::to_string(i),
-                                          params.chunks_per_file, policy, rng));
+    files.push_back(store_chunked_dataset(nn, params.chunks_per_file, policy, rng));
 
   // Largest-remainder apportionment of task_count over Zipf weights.
   std::vector<double> weight(params.file_count);

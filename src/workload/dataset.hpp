@@ -10,11 +10,10 @@
 
 namespace opass::workload {
 
-/// Store one dataset of `chunk_count` full-size chunks under `name` using the
-/// given placement policy. Returns the file id.
-dfs::FileId store_chunked_dataset(dfs::NameNode& nn, const std::string& name,
-                                  std::uint32_t chunk_count, dfs::PlacementPolicy& policy,
-                                  Rng& rng);
+/// Store one dataset of `chunk_count` full-size chunks using the given
+/// placement policy. Returns the file id.
+dfs::FileId store_chunked_dataset(dfs::NameNode& nn, std::uint32_t chunk_count,
+                                  dfs::PlacementPolicy& policy, Rng& rng);
 
 /// The paper's single-data micro-benchmark dataset: ~`chunks_per_process`
 /// full-size chunks per process on an m-node cluster ("approximately ten
@@ -26,7 +25,7 @@ std::vector<runtime::Task> make_single_data_workload(dfs::NameNode& nn,
 
 /// Skewed hot-file popularity (the failure/churn scenarios' read mix).
 struct SkewedWorkloadParams {
-  std::uint32_t file_count = 8;       ///< distinct datasets, "hot/0".."hot/N-1"
+  std::uint32_t file_count = 8;       ///< distinct datasets
   std::uint32_t chunks_per_file = 16; ///< full-size chunks per dataset
   std::uint32_t task_count = 256;     ///< total read tasks to emit
   /// Zipf popularity exponent: file i carries weight 1/(i+1)^s, so s = 0 is

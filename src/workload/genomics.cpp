@@ -12,8 +12,7 @@ std::vector<runtime::Task> make_genomics_workload(dfs::NameNode& nn,
   OPASS_REQUIRE(spec.mean_compute_time >= 0, "compute time must be non-negative");
   OPASS_REQUIRE(spec.pareto_shape > 1.0, "Pareto shape must exceed 1 for a finite mean");
 
-  const dfs::FileId fid =
-      store_chunked_dataset(nn, "genedb", spec.partition_count, policy, rng);
+  const dfs::FileId fid = store_chunked_dataset(nn, spec.partition_count, policy, rng);
   auto tasks = runtime::single_input_tasks(nn, {fid});
 
   // Pareto with mean = xm * alpha / (alpha - 1); solve for xm given the

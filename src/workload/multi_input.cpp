@@ -1,7 +1,6 @@
 #include "workload/multi_input.hpp"
 
 #include "common/require.hpp"
-#include "common/str.hpp"
 
 namespace opass::workload {
 
@@ -22,8 +21,7 @@ std::vector<runtime::Task> make_multi_input_workload(dfs::NameNode& nn,
   }
   for (std::size_t k = 0; k < spec.input_sizes.size(); ++k) {
     for (std::uint32_t i = 0; i < task_count; ++i) {
-      const dfs::FileId fid = nn.create_file(strfmt("set%zu/part%u", k, i),
-                                             spec.input_sizes[k], policy, rng);
+      const dfs::FileId fid = nn.create_file(spec.input_sizes[k], policy, rng);
       const auto& chunks = nn.file(fid).chunks;
       OPASS_CHECK(chunks.size() == 1, "multi-input file should be a single chunk");
       tasks[i].inputs.push_back(chunks[0]);

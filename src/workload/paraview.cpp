@@ -1,7 +1,6 @@
 #include "workload/paraview.hpp"
 
 #include "common/require.hpp"
-#include "common/str.hpp"
 
 namespace opass::workload {
 
@@ -18,8 +17,7 @@ ParaViewWorkload make_paraview_workload(dfs::NameNode& nn, dfs::PlacementPolicy&
   w.series.reserve(spec.dataset_count);
   w.tasks.reserve(spec.dataset_count);
   for (std::uint32_t i = 0; i < spec.dataset_count; ++i) {
-    const dfs::FileId fid =
-        nn.create_file(strfmt("multiblock/sub%04u.vtm", i), spec.bytes_per_dataset, policy, rng);
+    const dfs::FileId fid = nn.create_file(spec.bytes_per_dataset, policy, rng);
     w.series.push_back(fid);
     const auto& chunks = nn.file(fid).chunks;
     OPASS_CHECK(chunks.size() == 1, "dataset should be a single chunk");

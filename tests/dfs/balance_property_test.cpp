@@ -15,7 +15,7 @@ TEST(BalanceProperty, BalancerConvergesOnRandomSkewedLayouts) {
     HdfsDefaultPlacement policy;
     const std::uint32_t files = 20 + static_cast<std::uint32_t>(rng.uniform(40));
     for (std::uint32_t f = 0; f < files; ++f) {
-      nn.create_file("f" + std::to_string(f), kDefaultChunkSize, policy, rng,
+      nn.create_file(kDefaultChunkSize, policy, rng,
                      static_cast<NodeId>(rng.uniform(3)));  // writers only on 0..2
     }
 
@@ -41,7 +41,7 @@ TEST(BalanceProperty, BalancePreservesReplicationAndBytes) {
     NameNode nn(Topology::single_rack(10), 2, kDefaultChunkSize);
     HdfsDefaultPlacement policy;
     for (int f = 0; f < 30; ++f)
-      nn.create_file("f" + std::to_string(f), kDefaultChunkSize, policy, rng, 0);
+      nn.create_file(kDefaultChunkSize, policy, rng, 0);
 
     const Bytes before = nn.total_file_bytes();
     Bytes replica_before = 0;
@@ -62,7 +62,7 @@ TEST(BalanceProperty, DecommissionThenBalanceOnRandomLayouts) {
     Rng rng(seed);
     NameNode nn(Topology::single_rack(12), 3, kDefaultChunkSize);
     RandomPlacement policy;
-    nn.create_file("big", 40 * kDefaultChunkSize, policy, rng);
+    nn.create_file(40 * kDefaultChunkSize, policy, rng);
 
     nn.decommission_node(static_cast<NodeId>(rng.uniform(12)), rng);
     nn.check_invariants();

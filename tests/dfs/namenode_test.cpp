@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace opass::dfs {
 namespace {
@@ -21,7 +24,7 @@ TEST(NameNode, CreateFileSplitsIntoChunks) {
   auto nn = make_nn();
   RandomPlacement policy;
   Rng rng(3);
-  const FileId fid = nn.create_file("data", 3 * kDefaultChunkSize + kMiB, policy, rng);
+  const FileId fid = nn.create_file(3 * kDefaultChunkSize + kMiB, policy, rng);
   const auto& f = nn.file(fid);
   EXPECT_EQ(f.size, 3 * kDefaultChunkSize + kMiB);
   ASSERT_EQ(f.chunks.size(), 4u);
@@ -38,7 +41,7 @@ TEST(NameNode, EveryChunkHasRDistinctReplicas) {
   auto nn = make_nn(8, 3);
   RandomPlacement policy;
   Rng rng(5);
-  nn.create_file("a", 10 * kDefaultChunkSize, policy, rng);
+  nn.create_file(10 * kDefaultChunkSize, policy, rng);
   for (ChunkId c = 0; c < nn.chunk_count(); ++c) {
     EXPECT_EQ(nn.locations(c).size(), 3u);
   }
@@ -49,14 +52,46 @@ TEST(NameNode, RejectsEmptyFile) {
   auto nn = make_nn();
   RandomPlacement policy;
   Rng rng(5);
-  EXPECT_THROW(nn.create_file("e", 0, policy, rng), std::invalid_argument);
+  EXPECT_THROW(nn.create_file(0, policy, rng), std::invalid_argument);
+}
+
+/// Returns the fixed node list it was built with, whatever it is asked for.
+class FixedPlacement final : public PlacementPolicy {
+ public:
+  explicit FixedPlacement(std::vector<NodeId> nodes) : nodes_(std::move(nodes)) {}
+  std::vector<NodeId> place(const Topology&, NodeId, std::uint32_t, Rng&) override {
+    return nodes_;
+  }
+  std::string name() const override { return "fixed"; }
+
+ private:
+  std::vector<NodeId> nodes_;
+};
+
+TEST(NameNode, RejectsBadReplicaSetsFromPolicy) {
+  Rng rng(5);
+  auto create = [&](std::vector<NodeId> nodes) {
+    auto nn = make_nn(8, 3);
+    FixedPlacement policy(std::move(nodes));
+    nn.create_file(kMiB, policy, rng);
+  };
+  try {
+    create({1, 4, 1});
+    FAIL() << "duplicate replicas accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("policy returned duplicate replicas"),
+              std::string::npos);
+  }
+  EXPECT_THROW(create({1, 4}), std::logic_error);
+  EXPECT_THROW(create({1, 4, 8}), std::logic_error);
+  EXPECT_NO_THROW(create({1, 4, 7}));
 }
 
 TEST(NameNode, NodeInventoriesAreConsistent) {
   auto nn = make_nn(6, 2);
   RandomPlacement policy;
   Rng rng(7);
-  nn.create_file("a", 20 * kDefaultChunkSize, policy, rng);
+  nn.create_file(20 * kDefaultChunkSize, policy, rng);
   const auto counts = nn.node_chunk_counts();
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 40u);  // 20 chunks * 2
   const auto bytes = nn.node_bytes();
@@ -69,8 +104,8 @@ TEST(NameNode, TotalFileBytes) {
   auto nn = make_nn();
   RandomPlacement policy;
   Rng rng(9);
-  nn.create_file("a", 5 * kMiB, policy, rng);
-  nn.create_file("b", 7 * kMiB, policy, rng);
+  nn.create_file(5 * kMiB, policy, rng);
+  nn.create_file(7 * kMiB, policy, rng);
   EXPECT_EQ(nn.total_file_bytes(), 12 * kMiB);
 }
 
@@ -85,7 +120,7 @@ TEST(NameNode, AddNodeStartsEmpty) {
   auto nn = make_nn(4, 2);
   RandomPlacement policy;
   Rng rng(11);
-  nn.create_file("a", 8 * kDefaultChunkSize, policy, rng);
+  nn.create_file(8 * kDefaultChunkSize, policy, rng);
   const NodeId added = nn.add_node();
   EXPECT_EQ(nn.node_count(), 5u);
   EXPECT_TRUE(nn.chunks_on_node(added).empty());
@@ -96,7 +131,7 @@ TEST(NameNode, DecommissionReReplicates) {
   auto nn = make_nn(8, 3);
   RandomPlacement policy;
   Rng rng(13);
-  nn.create_file("a", 30 * kDefaultChunkSize, policy, rng);
+  nn.create_file(30 * kDefaultChunkSize, policy, rng);
   const auto before = nn.chunks_on_node(2).size();
   ASSERT_GT(before, 0u);
   nn.decommission_node(2, rng);
@@ -130,7 +165,7 @@ TEST(NameNode, BalanceTightensSpread) {
   HdfsDefaultPlacement policy;
   Rng rng(17);
   for (int i = 0; i < 24; ++i)
-    nn.create_file("f" + std::to_string(i), kDefaultChunkSize, policy, rng, /*writer=*/0);
+    nn.create_file(kDefaultChunkSize, policy, rng, /*writer=*/0);
 
   auto spread = [&] {
     const auto counts = nn.node_chunk_counts();
@@ -155,7 +190,7 @@ TEST(NameNode, BalanceNoopOnEvenLayout) {
   auto nn = make_nn(4, 2);
   RoundRobinPlacement policy;
   Rng rng(19);
-  nn.create_file("a", 8 * kDefaultChunkSize, policy, rng);
+  nn.create_file(8 * kDefaultChunkSize, policy, rng);
   EXPECT_EQ(nn.balance(rng, 1), 0u);
 }
 
@@ -163,8 +198,8 @@ TEST(NameNode, MultipleFilesGetDenseChunkIds) {
   auto nn = make_nn();
   RandomPlacement policy;
   Rng rng(23);
-  const FileId a = nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
-  const FileId b = nn.create_file("b", 2 * kDefaultChunkSize, policy, rng);
+  const FileId a = nn.create_file(2 * kDefaultChunkSize, policy, rng);
+  const FileId b = nn.create_file(2 * kDefaultChunkSize, policy, rng);
   EXPECT_EQ(nn.file(a).chunks, (std::vector<ChunkId>{0, 1}));
   EXPECT_EQ(nn.file(b).chunks, (std::vector<ChunkId>{2, 3}));
   EXPECT_EQ(nn.chunk_count(), 4u);

@@ -177,7 +177,7 @@ struct SpanFixture : ::testing::Test {
   }
 
   std::vector<runtime::Task> make_tasks(std::uint32_t chunks) {
-    const auto fid = nn.create_file("d", chunks * kDefaultChunkSize, policy, rng);
+    const auto fid = nn.create_file(chunks * kDefaultChunkSize, policy, rng);
     return runtime::single_input_tasks(nn, {fid});
   }
 

@@ -17,8 +17,8 @@ Entries entries(std::span<const CoLocated> list) {
 
 struct CoLocationFixture : ::testing::Test {
   CoLocationFixture() : nn(dfs::Topology::single_rack(4), 2, kDefaultChunkSize), rng(1) {
-    nn.create_file("a", 10 * kMiB, policy, rng);  // chunk 0 on {0,1}
-    nn.create_file("b", 20 * kMiB, policy, rng);  // chunk 1 on {1,2}
+    nn.create_file(10 * kMiB, policy, rng);  // chunk 0 on {0,1}
+    nn.create_file(20 * kMiB, policy, rng);  // chunk 1 on {1,2}
     tasks.resize(3);
     tasks[0].inputs = {0, 1};
     tasks[1].inputs = {1, 1};  // one chunk listed twice counts twice

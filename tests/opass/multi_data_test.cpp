@@ -180,10 +180,10 @@ TEST(MultiData, PrefersLargerCoLocation) {
   std::vector<runtime::Task> tasks(2);
   tasks[0].id = 0;
   tasks[1].id = 1;
-  const auto fa = nn.create_file("t0a", 40 * kMiB, policy, rng);
-  const auto fb = nn.create_file("t0b", 10 * kMiB, policy, rng);
-  const auto fc = nn.create_file("t1a", 40 * kMiB, policy, rng);
-  const auto fd = nn.create_file("t1b", 10 * kMiB, policy, rng);
+  const auto fa = nn.create_file(40 * kMiB, policy, rng);
+  const auto fb = nn.create_file(10 * kMiB, policy, rng);
+  const auto fc = nn.create_file(40 * kMiB, policy, rng);
+  const auto fd = nn.create_file(10 * kMiB, policy, rng);
   tasks[0].inputs = {nn.file(fa).chunks[0], nn.file(fb).chunks[0]};
   tasks[1].inputs = {nn.file(fc).chunks[0], nn.file(fd).chunks[0]};
 
@@ -218,9 +218,9 @@ TEST(MultiData, ReassignmentEventHappens) {
   std::vector<runtime::Task> tasks(2);
   tasks[0].id = 0;
   tasks[1].id = 1;
-  const auto f0 = nn.create_file("t0", 10 * kMiB, policy, rng);   // n0
-  const auto f1a = nn.create_file("t1a", 30 * kMiB, policy, rng);  // n0
-  const auto f1b = nn.create_file("t1b", 40 * kMiB, policy, rng);  // n1
+  const auto f0 = nn.create_file(10 * kMiB, policy, rng);   // n0
+  const auto f1a = nn.create_file(30 * kMiB, policy, rng);  // n0
+  const auto f1b = nn.create_file(40 * kMiB, policy, rng);  // n1
   tasks[0].inputs = {nn.file(f0).chunks[0]};
   tasks[1].inputs = {nn.file(f1a).chunks[0], nn.file(f1b).chunks[0]};
 
@@ -293,7 +293,7 @@ TEST(MultiData, MatchesDenseReferenceOnRandomLayouts) {
     WarmNodesPlacement policy(cold);
     const auto files = static_cast<std::uint32_t>(1 + rng.uniform(40));
     for (std::uint32_t f = 0; f < files; ++f)
-      nn.create_file("f" + std::to_string(f), (1 + rng.uniform(6)) * 8 * kMiB, policy, rng);
+      nn.create_file((1 + rng.uniform(6)) * 8 * kMiB, policy, rng);
 
     const auto task_count = static_cast<std::uint32_t>(rng.uniform(60));
     std::vector<runtime::Task> tasks(task_count);

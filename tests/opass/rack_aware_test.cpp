@@ -91,7 +91,7 @@ TEST(RackAware, RejectsMultiInputTasks) {
   dfs::NameNode nn(dfs::Topology::uniform_racks(4, 2), 2, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(1);
-  nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
+  nn.create_file(2 * kDefaultChunkSize, policy, rng);
   runtime::Task t;
   t.inputs = {0, 1};
   EXPECT_THROW(assign_single_data_rack_aware(nn, {t}, one_process_per_node(nn), rng),

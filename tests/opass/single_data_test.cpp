@@ -125,7 +125,7 @@ TEST_P(SingleDataTest, RejectsMultiInputTasks) {
   dfs::NameNode nn(dfs::Topology::single_rack(2), 1, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(5);
-  nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
+  nn.create_file(2 * kDefaultChunkSize, policy, rng);
   runtime::Task t;
   t.inputs = {0, 1};
   EXPECT_THROW(assign_single_data(nn, {t}, one_process_per_node(nn), rng, opts()),

@@ -15,7 +15,7 @@ std::vector<runtime::Task> heterogeneous_tasks(dfs::NameNode& nn,
                                                dfs::PlacementPolicy& policy, Rng& rng) {
   std::vector<runtime::Task> tasks;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const auto fid = nn.create_file("f" + std::to_string(i), sizes[i], policy, rng);
+    const auto fid = nn.create_file(sizes[i], policy, rng);
     runtime::Task t;
     t.id = static_cast<runtime::TaskId>(i);
     t.inputs = {nn.file(fid).chunks[0]};
@@ -141,7 +141,7 @@ TEST(WeightedSingleData, RejectsMultiInputTasks) {
   dfs::NameNode nn(dfs::Topology::single_rack(4), 2, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(1);
-  nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
+  nn.create_file(2 * kDefaultChunkSize, policy, rng);
   runtime::Task t;
   t.inputs = {0, 1};
   EXPECT_THROW(assign_single_data_weighted(nn, {t}, one_process_per_node(nn), rng),

@@ -19,7 +19,7 @@ struct ExecutorFixture : ::testing::Test {
   }
 
   std::vector<Task> make_tasks(std::uint32_t chunks) {
-    const auto fid = nn.create_file("d", chunks * kDefaultChunkSize, policy, rng);
+    const auto fid = nn.create_file(chunks * kDefaultChunkSize, policy, rng);
     return single_input_tasks(nn, {fid});
   }
 

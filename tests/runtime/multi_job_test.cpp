@@ -19,8 +19,8 @@ struct MultiJobFixture : ::testing::Test {
     params.remote_stream_cap = 0.0;
   }
 
-  std::vector<Task> make_tasks(const std::string& name, std::uint32_t chunks) {
-    const auto fid = nn.create_file(name, chunks * kDefaultChunkSize, policy, rng);
+  std::vector<Task> make_tasks(std::uint32_t chunks) {
+    const auto fid = nn.create_file(chunks * kDefaultChunkSize, policy, rng);
     auto tasks = single_input_tasks(nn, {fid});
     return tasks;
   }
@@ -32,8 +32,8 @@ struct MultiJobFixture : ::testing::Test {
 };
 
 TEST_F(MultiJobFixture, TwoJobsBothComplete) {
-  const auto ta = make_tasks("a", 8);
-  const auto tb = make_tasks("b", 4);
+  const auto ta = make_tasks(8);
+  const auto tb = make_tasks(4);
   sim::Cluster cluster(4, params);
   StaticAssignmentSource sa(rank_interval_assignment(8, 4));
   StaticAssignmentSource sb(rank_interval_assignment(4, 4));
@@ -53,8 +53,8 @@ TEST_F(MultiJobFixture, TwoJobsBothComplete) {
 TEST_F(MultiJobFixture, ConcurrentJobsContendForDisks) {
   // One job alone vs the same job sharing the cluster with a second one:
   // contention must slow it down.
-  const auto ta = make_tasks("a", 8);
-  const auto tb = make_tasks("b", 8);
+  const auto ta = make_tasks(8);
+  const auto tb = make_tasks(8);
 
   Seconds alone;
   {
@@ -77,7 +77,7 @@ TEST_F(MultiJobFixture, ConcurrentJobsContendForDisks) {
 }
 
 TEST_F(MultiJobFixture, StartTimeOffsetsJobLaunch) {
-  const auto ta = make_tasks("a", 4);
+  const auto ta = make_tasks(4);
   sim::Cluster cluster(4, params);
   StaticAssignmentSource sa(rank_interval_assignment(4, 4));
   std::vector<JobSpec> jobs(1);
@@ -90,8 +90,8 @@ TEST_F(MultiJobFixture, StartTimeOffsetsJobLaunch) {
 }
 
 TEST_F(MultiJobFixture, StaggeredJobsOverlapCorrectly) {
-  const auto ta = make_tasks("a", 8);
-  const auto tb = make_tasks("b", 8);
+  const auto ta = make_tasks(8);
+  const auto tb = make_tasks(8);
   sim::Cluster cluster(4, params);
   StaticAssignmentSource sa(rank_interval_assignment(8, 4));
   StaticAssignmentSource sb(rank_interval_assignment(8, 4));

@@ -16,7 +16,7 @@ struct TaskFixture : ::testing::Test {
 };
 
 TEST_F(TaskFixture, SingleInputTasksOnePerChunk) {
-  const auto fid = nn.create_file("a", 5 * kDefaultChunkSize, policy, rng);
+  const auto fid = nn.create_file(5 * kDefaultChunkSize, policy, rng);
   const auto tasks = single_input_tasks(nn, {fid});
   ASSERT_EQ(tasks.size(), 5u);
   for (std::uint32_t i = 0; i < 5; ++i) {
@@ -28,8 +28,8 @@ TEST_F(TaskFixture, SingleInputTasksOnePerChunk) {
 }
 
 TEST_F(TaskFixture, SingleInputTasksAcrossFiles) {
-  const auto a = nn.create_file("a", 2 * kDefaultChunkSize, policy, rng);
-  const auto b = nn.create_file("b", 3 * kDefaultChunkSize, policy, rng);
+  const auto a = nn.create_file(2 * kDefaultChunkSize, policy, rng);
+  const auto b = nn.create_file(3 * kDefaultChunkSize, policy, rng);
   const auto tasks = single_input_tasks(nn, {a, b}, 1.5);
   ASSERT_EQ(tasks.size(), 5u);
   for (const auto& t : tasks) EXPECT_EQ(t.compute_time, 1.5);
@@ -38,14 +38,14 @@ TEST_F(TaskFixture, SingleInputTasksAcrossFiles) {
 }
 
 TEST_F(TaskFixture, InputBytesSumsChunkSizes) {
-  const auto fid = nn.create_file("a", 2 * kDefaultChunkSize + kMiB, policy, rng);
+  const auto fid = nn.create_file(2 * kDefaultChunkSize + kMiB, policy, rng);
   Task t;
   t.inputs = nn.file(fid).chunks;
   EXPECT_EQ(t.input_bytes(nn), 2 * kDefaultChunkSize + kMiB);
 }
 
 TEST_F(TaskFixture, TotalTaskBytes) {
-  const auto fid = nn.create_file("a", 4 * kDefaultChunkSize, policy, rng);
+  const auto fid = nn.create_file(4 * kDefaultChunkSize, policy, rng);
   const auto tasks = single_input_tasks(nn, {fid});
   EXPECT_EQ(total_task_bytes(nn, tasks), 4 * kDefaultChunkSize);
 }

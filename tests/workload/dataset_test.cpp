@@ -9,7 +9,7 @@ TEST(Dataset, StoreChunkedDataset) {
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(1);
-  const auto fid = store_chunked_dataset(nn, "d", 12, policy, rng);
+  const auto fid = store_chunked_dataset(nn, 12, policy, rng);
   EXPECT_EQ(nn.file(fid).chunks.size(), 12u);
   EXPECT_EQ(nn.file(fid).size, 12 * kDefaultChunkSize);
   for (auto c : nn.file(fid).chunks) EXPECT_EQ(nn.chunk(c).size, kDefaultChunkSize);
@@ -19,7 +19,7 @@ TEST(Dataset, RejectsZeroChunks) {
   dfs::NameNode nn(dfs::Topology::single_rack(8), 3, kDefaultChunkSize);
   dfs::RandomPlacement policy;
   Rng rng(1);
-  EXPECT_THROW(store_chunked_dataset(nn, "d", 0, policy, rng), std::invalid_argument);
+  EXPECT_THROW(store_chunked_dataset(nn, 0, policy, rng), std::invalid_argument);
 }
 
 TEST(Dataset, SingleDataWorkloadTasksMatchChunks) {

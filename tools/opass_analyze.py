@@ -75,7 +75,7 @@ from opass_cpp import (  # noqa: E402
 #
 #   0  common                          units, RNG, stats, error macros
 #   1  graph, analysis                 pure algorithms & closed-form models
-#   2  dfs                             HDFS metadata model + API shim
+#   2  dfs                             HDFS block-layout model
 #   3  sim                             flow-level cluster simulator
 #   4  runtime                         process/executor model over sim
 #   5  workload, opass                 task generators; the planner
