@@ -17,7 +17,9 @@
 // paraview, iterative and --service-trace reject one with exit code 2. The
 // fault summary prints after the method table; fault markers join
 // --trace-out as instant events and --report-html/--timeline-out as
-// timeline.faults.* series.
+// timeline.faults.* series. A run the plan leaves unable to finish (at
+// --replication=1 a crash can take the last copy of a chunk) exits 1 with
+// one `error:` line.
 //
 // Prints the run's headline metrics as a table, or the per-op I/O series as
 // CSV with --csv (ready for plotting). With --audit the scenario's plan is
@@ -524,10 +526,18 @@ int main(int argc, char** argv) {
 
   Table table({"method", "avg I/O (s)", "max I/O (s)", "local %", "Jain", "makespan (s)"});
   int rc = 0;
-  if (method == "baseline" || method == "both")
-    run_method(scenario, exp::Method::kBaseline, cfg, tasks, compute, csv, table, sinks);
-  if (method == "opass" || method == "both")
-    run_method(scenario, exp::Method::kOpass, cfg, tasks, compute, csv, table, sinks);
+  // A run the library cannot complete (say, a crash plan that takes the
+  // last replica of a chunk at r = 1) exits 1 with one message instead of
+  // escaping main as an exception.
+  try {
+    if (method == "baseline" || method == "both")
+      run_method(scenario, exp::Method::kBaseline, cfg, tasks, compute, csv, table, sinks);
+    if (method == "opass" || method == "both")
+      run_method(scenario, exp::Method::kOpass, cfg, tasks, compute, csv, table, sinks);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   if (!csv && table.rows() > 0) {
     std::printf("scenario=%s nodes=%u tasks=%u r=%u seed=%llu placement=%s\n\n",
                 scenario.c_str(), cfg.nodes, tasks, cfg.replication,

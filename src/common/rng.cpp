@@ -1,7 +1,7 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace opass {
 namespace {
@@ -93,12 +93,11 @@ std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n, std:
     }
     return out;
   }
-  // Sparse case: rejection with a hash set.
-  std::unordered_set<std::uint32_t> seen;
-  seen.reserve(k * 2);
+  // Sparse case: rejection against the picks so far (a linear scan of
+  // `out`, O(k^2) in all; k is a replication factor here).
   while (out.size() < k) {
     const auto v = static_cast<std::uint32_t>(uniform(n));
-    if (seen.insert(v).second) out.push_back(v);
+    if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
   }
   return out;
 }

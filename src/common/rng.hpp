@@ -61,8 +61,10 @@ class Rng {
   }
 
   /// k distinct indices drawn uniformly from [0, n). Requires k <= n.
-  /// Order of the result is random. O(n) when k is a large fraction of n,
-  /// O(k) expected otherwise.
+  /// Order of the result is random. O(n) when k is a large fraction of n
+  /// (k >= n / 3); otherwise rejection sampling checks each draw against
+  /// the picks so far, O(k^2) expected and allocation-free beyond the
+  /// result, which suits the small k (a replication factor) it serves.
   std::vector<std::uint32_t> sample_without_replacement(std::uint32_t n, std::uint32_t k);
 
   /// Split off an independent generator (for per-component streams).

@@ -33,34 +33,51 @@ NameNode::NameNode(Topology topo, std::uint32_t replication, Bytes chunk_size)
 FileId NameNode::create_file(Bytes size, PlacementPolicy& policy, Rng& rng, NodeId writer) {
   OPASS_REQUIRE(size > 0, "cannot create an empty file");
   const auto fid = static_cast<FileId>(files_.size());
-  FileInfo fi;
-  fi.id = fid;
-  fi.size = size;
+  const std::size_t first_chunk = chunks_.size();
+  try {
+    FileInfo fi;
+    fi.id = fid;
+    fi.size = size;
 
-  Bytes remaining = size;
-  std::uint32_t index = 0;
-  while (remaining > 0) {
-    const Bytes csize = std::min(remaining, chunk_size_);
-    const auto cid = static_cast<ChunkId>(chunks_.size());
-    ChunkInfo ci;
-    ci.id = cid;
-    ci.file = fid;
-    ci.index_in_file = index++;
-    ci.size = csize;
-    chunks_.push_back(ci);
+    Bytes remaining = size;
+    std::uint32_t index = 0;
+    while (remaining > 0) {
+      const Bytes csize = std::min(remaining, chunk_size_);
+      // Check the placement before the chunk exists, so a rejected set adds
+      // nothing for the rollback below to find half-built.
+      const auto replicas = policy.place(topo_, writer, replication_, rng);
+      OPASS_CHECK(replicas.size() == replication_, "policy returned wrong replica count");
+      OPASS_CHECK(all_distinct(replicas), "policy returned duplicate replicas");
+      for (NodeId n : replicas)
+        OPASS_CHECK(n < topo_.node_count(), "policy returned node out of range");
 
-    const auto replicas = policy.place(topo_, writer, replication_, rng);
-    OPASS_CHECK(replicas.size() == replication_, "policy returned wrong replica count");
-    OPASS_CHECK(all_distinct(replicas), "policy returned duplicate replicas");
-    for (NodeId n : replicas) {
-      OPASS_CHECK(n < topo_.node_count(), "policy returned node out of range");
-      add_replica(cid, n);
+      const auto cid = static_cast<ChunkId>(chunks_.size());
+      ChunkInfo ci;
+      ci.id = cid;
+      ci.file = fid;
+      ci.index_in_file = index++;
+      ci.size = csize;
+      chunks_.push_back(ci);
+      for (NodeId n : replicas) add_replica(cid, n);
+
+      fi.chunks.push_back(cid);
+      remaining -= csize;
     }
-
-    fi.chunks.push_back(cid);
-    remaining -= csize;
+    files_.push_back(std::move(fi));
+  } catch (...) {
+    // Strong guarantee: drop this file's chunks, newest first. Each one is
+    // the last entry of its replicas' inventories, since nothing was placed
+    // after it.
+    while (chunks_.size() > first_chunk) {
+      const ChunkInfo& ci = chunks_.back();
+      for (NodeId n : ci.replicas) {
+        std::vector<ChunkId>& inv = node_chunks_[n];
+        if (!inv.empty() && inv.back() == ci.id) inv.pop_back();
+      }
+      chunks_.pop_back();
+    }
+    throw;
   }
-  files_.push_back(std::move(fi));
   return fid;
 }
 

@@ -30,7 +30,9 @@ class NameNode {
   // --- write path ---
 
   /// Create a file of `size` bytes: splits into ceil(size/chunk_size) chunks
-  /// (last chunk possibly short) and places each via `policy`.
+  /// (last chunk possibly short) and places each via `policy`. Strong
+  /// guarantee: when a placement is rejected (wrong count, duplicate or
+  /// out-of-range node) or anything else throws, the namespace is unchanged.
   FileId create_file(Bytes size, PlacementPolicy& policy, Rng& rng, NodeId writer = kInvalidNode);
 
   // --- metadata queries (what Opass consumes) ---

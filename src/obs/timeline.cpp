@@ -1,6 +1,9 @@
 #include "obs/timeline.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/require.hpp"
@@ -15,6 +18,18 @@ namespace {
 std::uint64_t tick_floor(Seconds now, Seconds interval) {
   if (now <= 0) return 0;
   return static_cast<std::uint64_t>(std::floor(now / interval * (1.0 + 1e-12)));
+}
+
+/// Bit-pattern equality: tells -0.0 from 0.0 and keeps NaN payloads apart.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// First point stamped after `tick` in a list sorted by ascending tick.
+template <typename Points>
+auto first_after(Points& points, std::uint64_t tick) {
+  return std::upper_bound(points.begin(), points.end(), tick,
+                          [](std::uint64_t t, const auto& p) { return t < p.tick; });
 }
 
 bool lower_segment(const std::string& name, std::size_t begin, std::size_t end) {
@@ -55,7 +70,7 @@ TimelineRecorder::TimelineRecorder() : TimelineRecorder(Options{}) {}
 TimelineRecorder::TimelineRecorder(Options options)
     : interval_(options.interval), capacity_(options.capacity) {
   OPASS_REQUIRE(interval_ > 0, "sampling interval must be positive");
-  OPASS_REQUIRE(capacity_ > 0, "ring capacity must be positive");
+  OPASS_REQUIRE(capacity_ > 0, "timeline capacity must be positive");
 }
 
 TimelineRecorder::SeriesId TimelineRecorder::add_level_series(const std::string& name,
@@ -107,19 +122,27 @@ void TimelineRecorder::record_rate(SeriesId id, Seconds now, double amount) {
   s.accum += amount;
 }
 
-void TimelineRecorder::emit_tick(Seconds /*tick_start*/, Seconds duration) {
-  const std::size_t slot = static_cast<std::size_t>(next_tick_ % capacity_);
+void TimelineRecorder::push_point(Series& s, std::uint64_t tick, double value) const {
+  // Keep memory O(capacity): once the list holds twice the window, drop the
+  // points that ended before the window [tick + 1 - capacity, tick] starts,
+  // keeping the one in force at its start. The list then holds at most
+  // `capacity` points, so the erase is amortized O(1) per point.
+  if (s.points.size() / 2 >= capacity_) {
+    const std::uint64_t first = tick + 1 - capacity_;
+    s.points.erase(s.points.begin(), std::prev(first_after(s.points, first)));
+  }
+  s.points.push_back({tick, value});
+}
+
+void TimelineRecorder::emit_tick(Seconds duration) {
   for (Series& s : series_) {
     double sample = s.level;
     if (s.kind == SeriesKind::kRate) {
       sample = s.accum / duration;
       s.accum = 0;
     }
-    if (s.ring.size() < capacity_) {
-      s.ring.push_back(sample);  // warm-up growth; allocation-free once full
-    } else {
-      s.ring[slot] = sample;
-    }
+    if (s.points.empty() || !same_bits(s.points.back().value, sample))
+      push_point(s, next_tick_, sample);
   }
   ++next_tick_;
 }
@@ -127,8 +150,7 @@ void TimelineRecorder::emit_tick(Seconds /*tick_start*/, Seconds duration) {
 void TimelineRecorder::advance_to(Seconds now) {
   OPASS_REQUIRE(!finished_, "cannot advance a finished timeline");
   const std::uint64_t last = tick_floor(now, interval_);
-  while (next_tick_ <= last)
-    emit_tick(static_cast<double>(next_tick_) * interval_, interval_);
+  while (next_tick_ <= last) emit_tick(interval_);
 }
 
 void TimelineRecorder::finish(Seconds end) {
@@ -152,13 +174,22 @@ void TimelineRecorder::finish(Seconds end) {
     // charged to the next interval — which will never come — so restamp the
     // final boundary with the end state: rates fold the trailing
     // accumulation in, levels take their final value.
-    const std::size_t slot = static_cast<std::size_t>((next_tick_ - 1) % capacity_);
+    const std::uint64_t last = next_tick_ - 1;
     for (Series& s : series_) {
+      double value = s.points.back().value;  // in force at `last`
       if (s.kind == SeriesKind::kRate) {
-        if (s.accum != 0) s.ring[slot] += s.accum / interval_;
+        if (s.accum != 0) value += s.accum / interval_;
         s.accum = 0;
       } else {
-        s.ring[slot] = s.level;
+        value = s.level;
+      }
+      if (same_bits(value, s.points.back().value)) continue;
+      if (s.points.back().tick != last) {
+        push_point(s, last, value);
+      } else if (s.points.size() > 1 && same_bits(value, s.points[s.points.size() - 2].value)) {
+        s.points.pop_back();  // the restamp undid the last tick's change
+      } else {
+        s.points.back().value = value;
       }
     }
   }
@@ -183,13 +214,26 @@ std::uint64_t TimelineRecorder::dropped_ticks() const { return first_retained_ti
 std::vector<double> TimelineRecorder::series_values(SeriesId id) const {
   OPASS_REQUIRE(id < series_.size(), "unknown timeline series id");
   const Series& s = series_[id];
+  const std::uint64_t first = first_retained_tick();
   std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(next_tick_ - first_retained_tick()) +
-              (partial_duration_ > 0 ? 1 : 0));
-  for (std::uint64_t t = first_retained_tick(); t < next_tick_; ++t)
-    out.push_back(s.ring[static_cast<std::size_t>(t % capacity_)]);
+  out.reserve(static_cast<std::size_t>(next_tick_ - first) + (partial_duration_ > 0 ? 1 : 0));
+  if (next_tick_ > 0) {
+    // Start from the point in force at `first`: the last one stamped at or
+    // before it (pruning always keeps it).
+    auto next = first_after(s.points, first);
+    double value = std::prev(next)->value;
+    for (std::uint64_t t = first; t < next_tick_; ++t) {
+      if (next != s.points.end() && next->tick == t) value = (next++)->value;
+      out.push_back(value);
+    }
+  }
   if (partial_duration_ > 0) out.push_back(s.partial);
   return out;
+}
+
+std::size_t TimelineRecorder::stored_points(SeriesId id) const {
+  OPASS_REQUIRE(id < series_.size(), "unknown timeline series id");
+  return series_[id].points.size();
 }
 
 // --- probes -----------------------------------------------------------------

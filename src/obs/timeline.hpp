@@ -25,10 +25,16 @@
 //
 // Determinism & cost. Samples are pure functions of the (deterministic)
 // event sequence — no wall clock anywhere — so a seeded run reproduces every
-// series byte-identically. Each series stores its samples in a bounded
-// ring buffer: the buffer grows geometrically up to `capacity` and then
-// wraps, overwriting the oldest ticks (counted by dropped_ticks()); once
-// warm, recording is allocation-free, which keeps the sim hot path clean.
+// series byte-identically. Each series stores change points, not samples: a
+// tick adds a point {tick, value} only when its sample's bit pattern differs
+// from the previous tick's (bit-exact, so -0.0 and NaN payloads survive),
+// and series_values() expands the points back into one sample per tick.
+// Most series are flat most of the time (a node's in-flight count, an idle
+// node's serve rate), so memory is O(change points), not O(series x ticks).
+// `capacity` still bounds it: only the newest `capacity` ticks are retained
+// (older ones count in dropped_ticks()), and once a series holds 2 x
+// capacity points, those that ended before the retained window are pruned,
+// keeping the one still in force at its start (stored_points()).
 //
 // Naming. Every series name must follow the `timeline.<subsystem>.<metric>`
 // taxonomy (lowercase [a-z0-9_] segments, at least three); registration
@@ -71,7 +77,7 @@ class TimelineRecorder {
 
   struct Options {
     Seconds interval = 0.5;        ///< sampling period in virtual seconds
-    std::size_t capacity = 8192;   ///< max retained ticks per series (ring)
+    std::size_t capacity = 8192;   ///< max retained ticks per series
   };
 
   TimelineRecorder();  ///< default Options
@@ -114,21 +120,31 @@ class TimelineRecorder {
   SeriesKind series_kind(SeriesId id) const;
 
   /// Samples of one series in tick order, oldest retained tick first,
-  /// including the trailing partial sample (if any). Materializes out of the
-  /// ring — export-path only.
+  /// including the trailing partial sample (if any). Expands the stored
+  /// change points — export-path only.
   std::vector<double> series_values(SeriesId id) const;
+
+  /// Change points one series holds right now: at most 2 x capacity, and
+  /// one for a series that never changed.
+  std::size_t stored_points(SeriesId id) const;
 
   /// Boundary samples emitted so far (identical across series; the partial
   /// sample is not counted).
   std::uint64_t tick_count() const { return next_tick_; }
 
-  /// Oldest tick still retained (> 0 once the ring wrapped).
+  /// Oldest tick still retained (> 0 once more than `capacity` ticks ran).
   std::uint64_t first_retained_tick() const;
 
-  /// Ticks overwritten by ring wrap-around, summed over the run.
+  /// Ticks that fell out of the retained window, summed over the run.
   std::uint64_t dropped_ticks() const;
 
  private:
+  /// The series samples `value` from `tick` until the next point's tick.
+  struct Point {
+    std::uint64_t tick;
+    double value;
+  };
+
   struct Series {
     std::string name;
     SeriesKind kind = SeriesKind::kLevel;
@@ -136,10 +152,11 @@ class TimelineRecorder {
     double accum = 0;              // current interval's accumulation (kRate)
     double partial = 0;            // trailing partial sample, valid when
                                    // partial_duration_ > 0
-    std::vector<double> ring;      // tick t lives at ring[t % capacity_]
+    std::vector<Point> points;     // change points, ascending tick
   };
 
-  void emit_tick(Seconds tick_start, Seconds duration);
+  void emit_tick(Seconds duration);
+  void push_point(Series& s, std::uint64_t tick, double value) const;
   Series& checked(SeriesId id);
 
   Seconds interval_ = 0.5;

@@ -262,9 +262,11 @@ void Cluster::admit(ReadId id) {
                                       done.transfer_start_ticks;
                                   last_breakdown_.end_ticks = to_ticks(end);
                                   const auto* attr = sim_.completed_attribution(done.flow);
-                                  last_breakdown_.transfer =
-                                      attr != nullptr ? *attr
-                                                      : std::vector<BindingInterval>{};
+                                  if (attr != nullptr) {
+                                    last_breakdown_.transfer = *attr;
+                                  } else {
+                                    last_breakdown_.transfer.clear();
+                                  }
                                 }
                                 auto cb = std::move(done.on_complete);
                                 retire_read(cslot);

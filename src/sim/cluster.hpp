@@ -84,7 +84,7 @@ struct ReadBreakdown {
   std::int64_t admit_ticks = 0;           ///< past the admission gate
   std::int64_t transfer_start_ticks = 0;  ///< positioning done, flow started
   std::int64_t end_ticks = 0;             ///< last byte arrived
-  std::vector<BindingInterval> transfer;  ///< tiles [transfer_start, end]
+  BindingIntervals transfer;              ///< tiles [transfer_start, end]
 };
 
 /// Read-lifecycle observer. The cluster stays metric-blind (DESIGN.md §8):

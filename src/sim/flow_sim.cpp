@@ -113,7 +113,7 @@ void FlowSimulator::stash_attribution(std::uint32_t slot) {
   finished_attr_.emplace_back(id, std::move(f.attr));
 }
 
-const std::vector<BindingInterval>* FlowSimulator::completed_attribution(FlowId id) const {
+const BindingIntervals* FlowSimulator::completed_attribution(FlowId id) const {
   const std::uint32_t slot = slot_of(id);
   if (slot >= finished_at_.size()) return nullptr;
   const std::uint32_t at = finished_at_[slot];
@@ -222,7 +222,8 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
   ++f.epoch;
   f.resources.clear();
   f.resources.shrink_to_fit();  // frees a spilled path block
-  std::vector<BindingInterval>().swap(f.attr);
+  f.attr.clear();
+  f.attr.shrink_to_fit();  // frees a spilled history block
   --flows_active_;
   free_slots_.push_back(slot);
 #if defined(OPASS_SANITIZE_BUILD)
@@ -238,7 +239,7 @@ void FlowSimulator::retire_slot(std::uint32_t slot) {
 void FlowSimulator::audit_retired_slot(std::uint32_t slot) const {
   const Flow& f = flows_[slot];
   OPASS_CHECK(!f.active && f.resources.empty() && !f.resources.spilled() && !f.on_complete &&
-                  f.attr.capacity() == 0,
+                  f.attr.empty() && !f.attr.spilled(),
               "retired flow slot still holds state");
   for (const Resource& res : resources_)
     for (std::uint32_t s : res.flows)

@@ -67,6 +67,14 @@ struct BindingInterval {
   ResourceId resource = 0;
 };
 
+/// A flow's binding intervals, in time order. Three stay inline: on the
+/// observed 1024-node churn run (dynamic scenario, r = 3 crash plan,
+/// scenario seeds 1203 and 1204) 99.9 % of baseline reads and every Opass
+/// read end with at most three (baseline: 48 % one, 44 % two, 8 % three),
+/// so recording a read allocates nothing; longer histories spill to the
+/// heap.
+using BindingIntervals = InlineVec<BindingInterval, 3>;
+
 /// Sentinel binding for "the flow's own rate_cap binds" (single-stream
 /// protocol limit), distinguishable from any real ResourceId.
 inline constexpr ResourceId kCapBinding = 0xffffffffu;
@@ -133,7 +141,7 @@ class FlowSimulator {
   /// the flow was cancelled, or recording is off. The intervals chain from
   /// the flow's start tick to its completion tick; zero-byte flows have an
   /// empty list (start == end).
-  const std::vector<BindingInterval>* completed_attribution(FlowId id) const;
+  const BindingIntervals* completed_attribution(FlowId id) const;
 
   /// Run until no flows or timers remain. Returns the final virtual time.
   Seconds run();
@@ -224,7 +232,7 @@ class FlowSimulator {
     std::uint64_t fixed = 0;   // == visit stamp once pinned in this re-level
     // Binding-interval history (record_attribution only). The last entry is
     // the open interval; its end_ticks is stale until the next close.
-    std::vector<BindingInterval> attr;
+    BindingIntervals attr;
   };
 
   struct Timer {
@@ -316,7 +324,7 @@ class FlowSimulator {
   // dropped, which the FlowId check catches — so a lookup is O(1) however
   // many flows complete at one instant.
   bool record_attr_ = false;
-  std::vector<std::pair<FlowId, std::vector<BindingInterval>>> finished_attr_;
+  std::vector<std::pair<FlowId, BindingIntervals>> finished_attr_;
   std::vector<std::uint32_t> finished_at_;
 
   std::uint64_t rate_recomputes_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -55,36 +56,63 @@ TEST(NameNode, RejectsEmptyFile) {
   EXPECT_THROW(nn.create_file(0, policy, rng), std::invalid_argument);
 }
 
-/// Returns the fixed node list it was built with, whatever it is asked for.
+/// Returns its node lists in turn, one per chunk, whatever it is asked for;
+/// the last list repeats once the others are used up.
 class FixedPlacement final : public PlacementPolicy {
  public:
-  explicit FixedPlacement(std::vector<NodeId> nodes) : nodes_(std::move(nodes)) {}
+  explicit FixedPlacement(std::vector<std::vector<NodeId>> per_chunk)
+      : per_chunk_(std::move(per_chunk)) {}
   std::vector<NodeId> place(const Topology&, NodeId, std::uint32_t, Rng&) override {
-    return nodes_;
+    const std::size_t i = std::min(next_++, per_chunk_.size() - 1);
+    return per_chunk_[i];
   }
   std::string name() const override { return "fixed"; }
 
  private:
-  std::vector<NodeId> nodes_;
+  std::vector<std::vector<NodeId>> per_chunk_;
+  std::size_t next_ = 0;
 };
 
 TEST(NameNode, RejectsBadReplicaSetsFromPolicy) {
+  // One namespace throughout, already holding a file, so a rejected create
+  // must leave existing state exactly as it was: same files, same chunks,
+  // same per-node inventories, and every invariant intact.
   Rng rng(5);
-  auto create = [&](std::vector<NodeId> nodes) {
-    auto nn = make_nn(8, 3);
-    FixedPlacement policy(std::move(nodes));
-    nn.create_file(kMiB, policy, rng);
+  auto nn = make_nn(8, 3);
+  RandomPlacement random;
+  nn.create_file(2 * kDefaultChunkSize, random, rng);
+  auto expect_unchanged = [&] {
+    EXPECT_EQ(nn.file_count(), 1u);
+    EXPECT_EQ(nn.chunk_count(), 2u);
+    const auto counts = nn.node_chunk_counts();
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 6u);
+    EXPECT_NO_THROW(nn.check_invariants());
+  };
+  auto create = [&](std::vector<std::vector<NodeId>> per_chunk, Bytes size = kMiB) {
+    FixedPlacement policy(std::move(per_chunk));
+    nn.create_file(size, policy, rng);
   };
   try {
-    create({1, 4, 1});
+    create({{1, 4, 1}});
     FAIL() << "duplicate replicas accepted";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("policy returned duplicate replicas"),
               std::string::npos);
   }
-  EXPECT_THROW(create({1, 4}), std::logic_error);
-  EXPECT_THROW(create({1, 4, 8}), std::logic_error);
-  EXPECT_NO_THROW(create({1, 4, 7}));
+  expect_unchanged();
+  EXPECT_THROW(create({{1, 4}}), std::logic_error);
+  expect_unchanged();
+  EXPECT_THROW(create({{1, 4, 8}}), std::logic_error);
+  expect_unchanged();
+  // Chunks 0 and 1 place fine; chunk 2 is rejected, and the two placed
+  // chunks must go with it.
+  EXPECT_THROW(create({{0, 1, 2}, {3, 4, 5}, {6, 6, 7}}, 3 * kDefaultChunkSize),
+               std::logic_error);
+  expect_unchanged();
+  EXPECT_NO_THROW(create({{1, 4, 7}}));
+  EXPECT_EQ(nn.file_count(), 2u);
+  EXPECT_EQ(nn.chunk_count(), 3u);
+  nn.check_invariants();
 }
 
 TEST(NameNode, NodeInventoriesAreConsistent) {

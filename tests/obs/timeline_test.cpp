@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "exp/experiment.hpp"
 
 namespace opass::obs {
@@ -165,6 +169,133 @@ TEST(TimelineRecorder, PartialWindowCarriesOnEndEvents) {
   EXPECT_DOUBLE_EQ(t.partial_duration(), 0.25);
   EXPECT_EQ(t.series_values(rate), (std::vector<double>{0, 0, 20}));
   EXPECT_EQ(t.series_values(level), (std::vector<double>{0, 0, 9}));
+}
+
+TEST(TimelineRecorder, ConstantSeriesStoresOnePoint) {
+  TimelineRecorder t(options(1.0));
+  const auto level = t.add_level_series("timeline.test.depth", /*initial=*/3);
+  const auto rate = t.add_rate_series("timeline.test.bytes_per_s");
+  for (int k = 1; k < 1000; ++k) t.record_level(level, k + 0.5, 3);
+  t.finish(999.0);
+  EXPECT_EQ(t.tick_count(), 1000u);
+  EXPECT_EQ(t.stored_points(level), 1u);
+  EXPECT_EQ(t.stored_points(rate), 1u);
+  EXPECT_EQ(t.series_values(level), std::vector<double>(1000, 3));
+  EXPECT_EQ(t.series_values(rate), std::vector<double>(1000, 0));
+}
+
+TEST(TimelineRecorder, SignedZeroAndNanPayloadsComeBackBitExact) {
+  // -0.0 == 0.0 and two NaNs never compare equal, so only a bit-pattern
+  // comparison stores each of these as its own change point.
+  const double nan_a = std::bit_cast<double>(std::uint64_t{0x7ff8000000000001});
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0x7ff8000000000002});
+  TimelineRecorder t(options(1.0));
+  const auto id = t.add_level_series("timeline.test.depth", /*initial=*/0.0);
+  t.record_level(id, 1.5, -0.0);
+  t.record_level(id, 2.5, nan_a);
+  t.record_level(id, 3.5, nan_b);
+  t.record_level(id, 4.5, nan_b);
+  t.record_level(id, 5.5, 0.0);
+  t.finish(7.0);
+  const std::vector<double> want = {0.0, 0.0, -0.0, nan_a, nan_b, nan_b, 0.0, 0.0};
+  const std::vector<double> got = t.series_values(id);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+        << "tick " << i;
+  EXPECT_EQ(t.stored_points(id), 5u);
+}
+
+TEST(TimelineRecorder, RestampOnBoundaryAfterAFlatTail) {
+  // The last change happened long before the final tick; the end-on-boundary
+  // restamp must change only that tick.
+  TimelineRecorder t(options(1.0));
+  const auto level = t.add_level_series("timeline.test.depth");
+  const auto rate = t.add_rate_series("timeline.test.bytes_per_s");
+  // Changes at the final tick, then the on-boundary event undoes it.
+  const auto undone = t.add_level_series("timeline.test.undone", /*initial=*/4);
+  t.record_level(level, 0.5, 4);
+  t.record_rate(rate, 0.5, 2);
+  t.record_level(undone, 9.5, 5);
+  t.record_level(level, 10.0, 8);
+  t.record_rate(rate, 10.0, 6);
+  t.record_level(undone, 10.0, 4);
+  t.finish(10.0);
+  EXPECT_EQ(t.partial_duration(), 0.0);
+  EXPECT_EQ(t.series_values(level), (std::vector<double>{0, 4, 4, 4, 4, 4, 4, 4, 4, 4, 8}));
+  EXPECT_EQ(t.series_values(rate), (std::vector<double>{0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 6}));
+  EXPECT_EQ(t.series_values(undone), std::vector<double>(11, 4));
+  EXPECT_EQ(t.stored_points(level), 3u);
+  EXPECT_EQ(t.stored_points(rate), 4u);
+  EXPECT_EQ(t.stored_points(undone), 1u);
+}
+
+TEST(TimelineRecorder, WrapWithAChangeEveryTickStaysWithinTheCapacityBound) {
+  constexpr std::size_t kCapacity = 8;
+  TimelineRecorder t(options(1.0, kCapacity));
+  const auto id = t.add_level_series("timeline.test.depth");
+  for (int k = 1; k <= 1000; ++k) {
+    t.record_level(id, static_cast<double>(k), k);  // boundary k samples k-1
+    ASSERT_LE(t.stored_points(id), 2 * kCapacity) << "after tick " << k;
+  }
+  t.finish(1000.5);
+  EXPECT_LE(t.stored_points(id), 2 * kCapacity);
+  EXPECT_EQ(t.tick_count(), 1001u);
+  EXPECT_EQ(t.first_retained_tick(), 993u);
+  EXPECT_EQ(t.dropped_ticks(), 993u);
+  // Ticks 993..1000, then the partial sample with the final level.
+  EXPECT_EQ(t.series_values(id),
+            (std::vector<double>{992, 993, 994, 995, 996, 997, 998, 999, 1000}));
+}
+
+TEST(TimelineRecorder, PrunedSeriesMatchTheTailOfUnprunedOnes) {
+  // The same random event stream into a small-capacity recorder and an
+  // unbounded one: pruning must only cut the front, so the small one's
+  // values equal the newest `capacity` ticks (plus the partial) of the big
+  // one — after every event, and for runs ending on and off a boundary.
+  for (const Seconds end : {600.0, 600.3}) {
+    constexpr std::size_t kCapacity = 16;
+    TimelineRecorder small(options(1.0, kCapacity));
+    TimelineRecorder full(options(1.0, 1 << 20));
+    std::vector<TimelineRecorder::SeriesId> ids;
+    for (TimelineRecorder* t : {&small, &full}) {
+      ids = {t->add_level_series("timeline.test.depth"),
+             t->add_rate_series("timeline.test.bytes_per_s"),
+             t->add_level_series("timeline.test.flat", /*initial=*/1)};
+    }
+    auto expect_tail = [&](TimelineRecorder::SeriesId id) {
+      const std::vector<double> want = full.series_values(id);
+      const std::vector<double> got = small.series_values(id);
+      ASSERT_LE(got.size(), want.size());
+      EXPECT_EQ(got, std::vector<double>(want.end() - static_cast<std::ptrdiff_t>(got.size()),
+                                         want.end()))
+          << small.series_name(id) << " at tick " << small.tick_count() << ", end " << end;
+      EXPECT_LE(small.stored_points(id), 2 * kCapacity);
+    };
+    Rng rng(11);
+    for (Seconds now = 0; now < end; now += 0.25 * static_cast<double>(rng.uniform(9))) {
+      const auto level = static_cast<double>(rng.uniform(3));
+      const auto bytes = static_cast<double>(rng.uniform(2));
+      for (TimelineRecorder* t : {&small, &full}) {
+        t->record_level(ids[0], now, level);
+        t->record_rate(ids[1], now, bytes);
+      }
+      for (const auto id : ids) expect_tail(id);
+    }
+    for (TimelineRecorder* t : {&small, &full}) {
+      t->record_level(ids[0], end, 7);
+      t->record_rate(ids[1], end, 5);
+      t->finish(end);
+    }
+    ASSERT_EQ(small.tick_count(), full.tick_count());
+    EXPECT_EQ(small.first_retained_tick(), full.tick_count() - kCapacity);
+    for (const auto id : ids) {
+      EXPECT_EQ(small.series_values(id).size(),
+                kCapacity + (small.partial_duration() > 0 ? 1 : 0));
+      expect_tail(id);
+    }
+    EXPECT_EQ(small.stored_points(ids[2]), 1u);
+  }
 }
 
 sim::FaultEvent crash_at(Seconds at, dfs::NodeId node) {
