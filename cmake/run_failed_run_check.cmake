@@ -1,14 +1,18 @@
 # Failed-run gate for opass_cli, run as a ctest entry (see
 # examples/CMakeLists.txt). Invoked in script mode:
 #
-#   cmake -DCLI=<path-to-opass_cli> -DPLAN=<crash plan> -P cmake/run_failed_run_check.cmake
+#   cmake -DCLI=<path-to-opass_cli> -DPLAN=<crash plan> -DSOURCE_DIR=<checkout root>
+#         -P cmake/run_failed_run_check.cmake
 #
 # At replication 1 the crash plan takes the only copy of some chunks, so the
 # executor cannot finish the run. The CLI must report that with exit code 1
-# and a one-line `error:` message naming the cause, never abort (134).
-if(NOT DEFINED CLI OR NOT DEFINED PLAN)
+# and a one-line `error:` message naming the cause, never abort (134). The
+# message must not contain SOURCE_DIR: source paths in it are relative, so
+# stderr is the same from every checkout.
+if(NOT DEFINED CLI OR NOT DEFINED PLAN OR NOT DEFINED SOURCE_DIR)
   message(FATAL_ERROR
-          "usage: cmake -DCLI=<opass_cli> -DPLAN=<crash plan> -P run_failed_run_check.cmake")
+          "usage: cmake -DCLI=<opass_cli> -DPLAN=<crash plan> -DSOURCE_DIR=<checkout root> "
+          "-P run_failed_run_check.cmake")
 endif()
 
 foreach(scenario IN ITEMS single dynamic)
@@ -27,6 +31,11 @@ foreach(scenario IN ITEMS single dynamic)
   endif()
   if(NOT err_body MATCHES "^error: .*all replicas of a chunk are on failed nodes$")
     message(FATAL_ERROR "opass_cli --scenario=${scenario}: unexpected message: ${err}")
+  endif()
+  string(FIND "${err_body}" "${SOURCE_DIR}" source_dir_at)
+  if(NOT source_dir_at EQUAL -1)
+    message(FATAL_ERROR
+            "opass_cli --scenario=${scenario}: message names the checkout ${SOURCE_DIR}: ${err}")
   endif()
 endforeach()
 

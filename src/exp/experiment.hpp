@@ -9,7 +9,8 @@
 //      parallel execution replayed on the flow-level cluster simulator).
 //      Single, multi and dynamic are one phase; ParaView runs one phase per
 //      rendering step and the iterative scenario one per epoch;
-//   3. reduce the phases' traces to the series the paper plots.
+//   3. reduce each phase's trace, as the phase ends, to the series the paper
+//      plots.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +77,9 @@ struct ExperimentConfig {
   /// a comparison run fits in one registry. When `raw` is set, the full
   /// execution result (trace + task spans, aggregated across steps/epochs
   /// for the multi-phase scenarios) is moved out once the run is reduced —
-  /// the input the Chrome trace exporter (obs/chrome_trace.hpp) wants.
+  /// the input the Chrome trace exporter (obs/chrome_trace.hpp) wants. With
+  /// neither set, no run-level aggregate is built: each phase is reduced and
+  /// dropped as it ends.
   obs::MetricsRegistry* metrics = nullptr;
   runtime::ExecutionResult* raw = nullptr;
   /// When set, the run records every read's causal breakdown (admission

@@ -10,6 +10,12 @@ void FlowNetwork::clear(NodeIdx node_count) {
   finalized_ = false;
 }
 
+void FlowNetwork::reserve(std::size_t edge_count) {
+  to_.reserve(2 * edge_count);
+  cap_.reserve(2 * edge_count);
+  orig_cap_.reserve(edge_count);
+}
+
 NodeIdx FlowNetwork::add_nodes(NodeIdx count) {
   const NodeIdx first = nodes_;
   nodes_ += count;
@@ -26,7 +32,6 @@ EdgeIdx FlowNetwork::add_edge(NodeIdx u, NodeIdx v, Cap capacity) {
   orig_cap_.push_back(capacity);
   to_.push_back(u);
   cap_.push_back(0);
-  orig_cap_.push_back(0);
   finalized_ = false;
   return fwd / 2;
 }
@@ -40,11 +45,14 @@ Cap FlowNetwork::flow(EdgeIdx e) const {
 
 Cap FlowNetwork::capacity(EdgeIdx e) const {
   OPASS_REQUIRE(static_cast<std::size_t>(e) * 2 < to_.size(), "edge index out of range");
-  return orig_cap_[e * 2];
+  return orig_cap_[e];
 }
 
 void FlowNetwork::reset_flow() {
-  for (std::size_t h = 0; h < cap_.size(); ++h) cap_[h] = orig_cap_[h];
+  for (std::size_t e = 0; e < orig_cap_.size(); ++e) {
+    cap_[2 * e] = orig_cap_[e];
+    cap_[2 * e + 1] = 0;
+  }
 }
 
 void FlowNetwork::push(EdgeIdx half_edge, Cap amount) {

@@ -5,7 +5,7 @@
 // forward/reverse half-edge entries in flat arrays (the reverse of half-edge
 // h is h ^ 1), and adjacency is a counting-sorted index over half-edge ids,
 // built lazily on first residual query and rebuilt only after new edges are
-// added. There is no per-node std::vector, so a network is four flat arrays
+// added. There is no per-node std::vector, so a network is three flat arrays
 // plus the CSR index — cache-friendly to traverse and cheap to reuse:
 // clear() resets the network to empty while keeping every arena's capacity,
 // so repeated planning runs (dynamic/incremental replanning) allocate
@@ -32,6 +32,10 @@ class FlowNetwork {
   /// Reset to an empty `node_count`-node network, keeping the arenas'
   /// capacity so a reused network reaches zero steady-state allocation.
   void clear(NodeIdx node_count = 0);
+
+  /// Make room for `edge_count` forward edges in total, so adding up to
+  /// that many never reallocates the edge arrays.
+  void reserve(std::size_t edge_count);
 
   /// Add `count` fresh nodes, returning the index of the first.
   NodeIdx add_nodes(NodeIdx count = 1);
@@ -90,7 +94,7 @@ class FlowNetwork {
   // entry 2e+1 the residual reverse.
   std::vector<NodeIdx> to_;
   std::vector<Cap> cap_;        // residual capacities
-  std::vector<Cap> orig_cap_;   // original capacities (forward entries only meaningful)
+  std::vector<Cap> orig_cap_;   // original capacity per logical edge (reverses start at 0)
   mutable std::vector<EdgeIdx> csr_;             // half-edge ids grouped by origin
   mutable std::vector<std::uint32_t> offsets_;   // nodes_ + 1 bucket boundaries
   mutable std::vector<std::uint32_t> cursor_;    // counting-sort scratch

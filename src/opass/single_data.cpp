@@ -43,6 +43,14 @@ SingleDataPlan assign_single_data(const dfs::NameNode& nn,
   graph::FlowWorkspace& ws = options.workspace ? *options.workspace : local_ws;
   graph::FlowNetwork& net = ws.network;
   net.clear(2 + m + n);
+  // Sized exactly up front: the network is the planner's largest allocation,
+  // and growing it by doubling over-allocates up to 2x and holds the old and
+  // new arrays at once during each copy.
+  std::size_t edge_total = std::size_t{m} + n;
+  for (const auto& task : tasks)
+    for (dfs::NodeId rep : nn.chunk(task.inputs[0]).replicas)
+      edge_total += procs_on_node[rep].size();
+  net.reserve(edge_total);
   const graph::NodeIdx s = 0;
   const graph::NodeIdx t = 1;
   const graph::NodeIdx proc0 = 2;

@@ -10,7 +10,9 @@ Cluster::Cluster(std::uint32_t node_count, ClusterParams params)
 Cluster::Cluster(const dfs::Topology& topology, ClusterParams params)
     : node_count_(topology.node_count()), params_(params), inflight_(node_count_, 0),
       served_(node_count_, 0), failed_(node_count_, 0), speed_(node_count_, 1.0),
-      serving_(node_count_, 0), waiting_(node_count_), admission_waits_(node_count_, 0),
+      serving_(node_count_, 0),
+      waiting_(params.max_concurrent_serves > 0 ? node_count_ : 0),
+      admission_waits_(node_count_, 0),
       peak_queue_(node_count_, 0) {
   OPASS_REQUIRE(node_count_ > 0, "cluster needs at least one node");
   disk_.reserve(node_count_);
@@ -79,7 +81,7 @@ dfs::NodeId Cluster::add_node(dfs::RackId rack) {
   failed_.push_back(0);
   speed_.push_back(1.0);
   serving_.push_back(0);
-  waiting_.emplace_back();
+  if (params_.max_concurrent_serves > 0) waiting_.emplace_back();
   admission_waits_.push_back(0);
   peak_queue_.push_back(0);
   return id;
@@ -283,7 +285,7 @@ void Cluster::release_serve_slot(dfs::NodeId server) {
   OPASS_CHECK(serving_[server] > 0, "serve-slot count underflow");
   --serving_[server];
   if (failed_[server]) return;  // the failure path drains the queue itself
-  if (!waiting_[server].empty()) {
+  if (params_.max_concurrent_serves > 0 && !waiting_[server].empty()) {
     const std::uint64_t next = waiting_[server].front();
     waiting_[server].pop_front();
     admit(next);
@@ -316,7 +318,7 @@ void Cluster::fail_node(dfs::NodeId node, Seconds when) {
       retire_read(slot);
       if (probe_ != nullptr) probe_->on_read_finished(t, node, bytes, false);
     }
-    waiting_[node].clear();
+    if (params_.max_concurrent_serves > 0) waiting_[node].clear();
     for (auto& cb : failures) cb(t);
   });
 }

@@ -308,7 +308,9 @@ class Cluster {
   std::vector<std::uint32_t> free_read_slots_;
   std::uint64_t read_seq_ = 0;
   std::vector<std::uint32_t> serving_;             // admitted reads per node
-  std::vector<std::deque<ReadId>> waiting_;        // admission FIFO per node
+  // Admission FIFO per node; empty unless max_concurrent_serves > 0, since
+  // every libstdc++ deque allocates even when empty.
+  std::vector<std::deque<ReadId>> waiting_;
   std::vector<std::uint64_t> admission_waits_;     // reads ever queued, per node
   std::vector<std::uint32_t> peak_queue_;          // max FIFO depth, per node
   std::vector<ResourceInfo> resource_info_;        // indexed by ResourceId

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Run opass_cli with every observation sink on and gate its peak RSS.
+"""Run opass_cli and gate its peak RSS, with every observation sink on or off.
 
 Usage:
-    tools/check_peak_rss.py --bound-mib N CLI [CLI_ARGS...]
+    tools/check_peak_rss.py [--no-sinks] --bound-mib N CLI [CLI_ARGS...]
 
 Runs CLI with CLI_ARGS plus all six sink flags (--metrics-out, --trace-out,
 --timeline-out, --report-html, --spans-out, --critical-path) writing into a
 temporary directory, then reads the child's peak resident set size
 (ru_maxrss of the waited-for child, KiB on Linux) and compares it with N MiB.
+With --no-sinks, CLI runs with CLI_ARGS alone, so the gate measures a run
+that no observer reads.
 
 Exit code 0 when the peak is within the bound, 1 when it exceeds it, 2 on a
-usage error or a failed run. Used by the `cli_sinks_peak_rss` ctest entry.
+usage error or a failed run. Used by the `cli_sinks_peak_rss` (all sinks)
+and `cli_iterative_peak_rss` (--no-sinks) ctest entries.
 """
 
 from __future__ import annotations
@@ -32,21 +35,26 @@ SINK_FLAGS = (
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 4 or argv[1] != "--bound-mib":
+    args = argv[1:]
+    sinks = not (args and args[0] == "--no-sinks")
+    if not sinks:
+        args = args[1:]
+    if len(args) < 3 or args[0] != "--bound-mib":
         print(__doc__, file=sys.stderr)
         return 2
     try:
-        bound_mib = float(argv[2])
+        bound_mib = float(args[1])
     except ValueError:
-        print(f"check_peak_rss: bad bound '{argv[2]}'", file=sys.stderr)
+        print(f"check_peak_rss: bad bound '{args[1]}'", file=sys.stderr)
         return 2
+    flags = SINK_FLAGS if sinks else ()
     with tempfile.TemporaryDirectory() as out:
-        cmd = argv[3:] + [f"--{flag}={os.path.join(out, name)}" for flag, name in SINK_FLAGS]
+        cmd = args[2:] + [f"--{flag}={os.path.join(out, name)}" for flag, name in flags]
         run = subprocess.run(cmd, stdout=subprocess.DEVNULL)
         if run.returncode != 0:
             print(f"check_peak_rss: exit code {run.returncode}: {' '.join(cmd)}")
             return 2
-        sink_bytes = sum(os.path.getsize(os.path.join(out, name)) for _, name in SINK_FLAGS)
+        sink_bytes = sum(os.path.getsize(os.path.join(out, name)) for _, name in flags)
     peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     verdict = "ok" if peak_mib <= bound_mib else "over the bound"
     print(f"check_peak_rss: peak RSS {peak_mib:.1f} MiB, bound {bound_mib:.1f} MiB, "
