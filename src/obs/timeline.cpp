@@ -262,8 +262,9 @@ void ClusterTimelineProbe::add_expected_bytes(Seconds now, Bytes bytes) {
 
 void ClusterTimelineProbe::on_read_issued(Seconds now, dfs::NodeId server, Bytes /*bytes*/) {
   ++inflight_total_;
-  recorder_.record_level(node_inflight_[server], now,
-                         cluster_.inflight_per_node()[server]);
+  if (server < node_inflight_.size())
+    recorder_.record_level(node_inflight_[server], now,
+                           cluster_.inflight_per_node()[server]);
   recorder_.record_level(total_inflight_, now, inflight_total_);
   recorder_.record_level(read_slots_, now, cluster_.read_slot_count());
 }
@@ -272,11 +273,14 @@ void ClusterTimelineProbe::on_read_finished(Seconds now, dfs::NodeId server, Byt
                                             bool completed) {
   OPASS_CHECK(inflight_total_ > 0, "timeline in-flight underflow");
   --inflight_total_;
-  recorder_.record_level(node_inflight_[server], now,
-                         cluster_.inflight_per_node()[server]);
+  const bool has_series = server < node_inflight_.size();
+  if (has_series)
+    recorder_.record_level(node_inflight_[server], now,
+                           cluster_.inflight_per_node()[server]);
   recorder_.record_level(total_inflight_, now, inflight_total_);
   if (!completed) return;  // aborted reads retry; their bytes are still owed
-  recorder_.record_rate(node_rate_[server], now, static_cast<double>(bytes));
+  if (has_series)
+    recorder_.record_rate(node_rate_[server], now, static_cast<double>(bytes));
   recorder_.record_rate(total_rate_, now, static_cast<double>(bytes));
   remaining_ -= static_cast<double>(bytes);
   recorder_.record_level(bytes_remaining_, now, remaining_);

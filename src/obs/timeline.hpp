@@ -177,6 +177,8 @@ class TimelineRecorder {
 
 /// Cluster-side adapter: per-node serve rate and in-flight reads, plus
 /// cluster-wide serve rate, in-flight, read-slot and bytes-remaining series.
+/// Per-node series cover the nodes at construction; a node that joins later
+/// (a fault plan's join) counts in the cluster-wide series only.
 class ClusterTimelineProbe final : public sim::ClusterProbe {
  public:
   ClusterTimelineProbe(TimelineRecorder& recorder, const sim::Cluster& cluster);

@@ -60,18 +60,25 @@ std::vector<std::uint32_t> TraceRecorder::ops_served_per_node(std::uint32_t node
   return out;
 }
 
-double TraceRecorder::local_fraction() const {
-  if (records_.empty()) return 0.0;
+std::size_t TraceRecorder::local_count() const {
   std::size_t local = 0;
   for (const auto& r : records_)
     if (r.local) ++local;
-  return static_cast<double>(local) / static_cast<double>(records_.size());
+  return local;
+}
+
+double TraceRecorder::local_fraction() const {
+  return sim::local_fraction(local_count(), records_.size());
 }
 
 Seconds TraceRecorder::makespan() const {
   Seconds end = 0;
   for (const auto& r : records_) end = std::max(end, r.end_time);
   return end;
+}
+
+double local_fraction(std::size_t local, std::size_t total) {
+  return total ? static_cast<double>(local) / static_cast<double>(total) : 0.0;
 }
 
 }  // namespace opass::sim

@@ -79,6 +79,9 @@ class TraceRecorder {
   /// Chunk-request count served by each node.
   std::vector<std::uint32_t> ops_served_per_node(std::uint32_t node_count) const;
 
+  /// Number of operations served locally.
+  std::size_t local_count() const;
+
   /// Fraction of operations served locally, in [0, 1]; 0 when empty.
   double local_fraction() const;
 
@@ -88,5 +91,9 @@ class TraceRecorder {
  private:
   std::vector<ReadRecord> records_;
 };
+
+/// `local` of `total` operations as a fraction in [0, 1]; 0 when `total`
+/// is 0. The one definition of the observed local fraction.
+double local_fraction(std::size_t local, std::size_t total);
 
 }  // namespace opass::sim

@@ -72,7 +72,10 @@ TEST(TraceRecorder, LocalFraction) {
   t.add(rec(0, 1, 1, 0, 1, false));
   t.add(rec(0, 0, 1, 0, 1, true));
   t.add(rec(0, 2, 1, 0, 1, false));
+  EXPECT_EQ(t.local_count(), 2u);
   EXPECT_DOUBLE_EQ(t.local_fraction(), 0.5);
+  EXPECT_DOUBLE_EQ(local_fraction(3, 4), 0.75);
+  EXPECT_DOUBLE_EQ(local_fraction(0, 0), 0.0);
 }
 
 TEST(TraceRecorder, Makespan) {
